@@ -45,15 +45,18 @@ InstanceList SingleEventInstancesHybrid(const HybridIndex& index, EventId ev) {
 
 void ForwardExtensionsBitmap(const BitmapIndex& index, const Pattern& pattern,
                              const InstanceList& instances,
-                             ProjectionWorkspace* ws,
-                             ForwardExtensionMap* out) {
-  internal::ForwardExtensionsVertical(index, pattern, instances, ws, out);
+                             ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                             uint64_t min_support) {
+  internal::ForwardExtensionsVertical(index, pattern, instances, ws, out,
+                                      min_support);
 }
 
 const BackwardExtensionMap& BackwardExtensionsBitmap(
     const BitmapIndex& index, const Pattern& pattern,
-    const InstanceList& instances, ProjectionWorkspace* ws) {
-  return internal::BackwardExtensionsVertical(index, pattern, instances, ws);
+    const InstanceList& instances, ProjectionWorkspace* ws,
+    uint64_t min_support) {
+  return internal::BackwardExtensionsVertical(index, pattern, instances, ws,
+                                              min_support);
 }
 
 uint64_t CountInstancesBitmap(const BitmapIndex& index, const Pattern& pattern,

@@ -41,18 +41,19 @@ InstanceList SingleEventInstancesBitmap(const BitmapIndex& index, EventId ev);
 InstanceList SingleEventInstancesHybrid(const HybridIndex& index, EventId ev);
 
 /// \brief Bitmap arm of ForwardExtensions. Same output contract: \p out
-/// holds the instances of every P++<e>, ascending by event, each bucket in
-/// instance-scan order.
+/// holds the instances of every P++<e> with at least \p min_support of
+/// them, ascending by event, each bucket in instance-scan order.
 void ForwardExtensionsBitmap(const BitmapIndex& index, const Pattern& pattern,
                              const InstanceList& instances,
-                             ProjectionWorkspace* ws,
-                             ForwardExtensionMap* out);
+                             ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                             uint64_t min_support = 0);
 
 /// \brief Bitmap arm of BackwardExtensions; the returned reference lives
 /// in \p ws like the CSR arm's.
 const BackwardExtensionMap& BackwardExtensionsBitmap(
     const BitmapIndex& index, const Pattern& pattern,
-    const InstanceList& instances, ProjectionWorkspace* ws);
+    const InstanceList& instances, ProjectionWorkspace* ws,
+    uint64_t min_support = 0);
 
 /// \brief Reusable scratch for the word-wise QRE recount (the alphabet
 /// union row). Optional: callers in loops (the generator check, shard

@@ -34,12 +34,14 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
   // Backward extensions first: they both decide backward absorption and
   // drive the subtree prunes, letting us skip the (costlier) forward
   // projection for pruned subtrees. The result buffer lives in the
-  // workspace and is fully consumed before any recursive call.
+  // workspace and is fully consumed before any recursive call. Only
+  // absorbers matter, and no backward extension outnumbers the pattern's
+  // instances (each restricts to a distinct one), so the query keeps
+  // exactly the entries with ext.support == support.
   const BackwardExtensionMap& backward =
-      BackwardExtensions(*ctx->backend, pattern, instances, ctx->ws);
+      BackwardExtensions(*ctx->backend, pattern, instances, ctx->ws, support);
   bool backward_absorbed = false;
   for (const auto& [ev, ext] : backward) {
-    if (ext.support != support) continue;
     backward_absorbed = true;
     if (!ext.all_adjacent) continue;
     const bool in_alphabet = pattern.Contains(ev);
@@ -50,8 +52,12 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
     }
   }
 
+  // Every entry the closed miner reads is either a frequent child or a
+  // forward absorber (support == sup(P) >= min_support), so the query may
+  // drop everything below min_support.
   ForwardExtensionMap forward = ctx->ws->AcquireMap();
-  ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &forward);
+  ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &forward,
+                    ctx->options->min_support);
   bool forward_absorbed = false;
   for (const auto& [ev, ext_instances] : forward) {
     if (ext_instances.size() == support) {
@@ -84,7 +90,6 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       pattern.size() < ctx->options->max_length) {
     for (auto& [ev, ext_instances] : forward) {
       if (ctx->stop) break;
-      if (ext_instances.size() < ctx->options->min_support) continue;
       Grow(ctx, pattern.Extend(ev), ext_instances);
     }
   }

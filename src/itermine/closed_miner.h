@@ -24,9 +24,14 @@
 //                   all instance gaps). Sound for P itself; a descendant
 //                   could in principle re-introduce e inside a *new* gap and
 //                   become closed. Emitted patterns are always verified, so
-//                   P2 can only cause closed patterns to be missed; the
-//                   property suite quantifies this against the filter-only
-//                   miner (no divergence observed on randomized runs).
+//                   P2 can only cause closed patterns to be missed.
+//   P3 (heuristic): the infix analogue (ClosedIterMinerOptions::
+//                   infix_prune). It DOES miss closed patterns in practice:
+//                   on the dense QUEST benchmark corpus at 4% and 3%
+//                   support, 885 frequent patterns have no reported closed
+//                   super-pattern of equal support (0 with infix_prune =
+//                   false). The small randomized property-suite corpora do
+//                   not expose the gap, so they prove no completeness.
 
 #ifndef SPECMINE_ITERMINE_CLOSED_MINER_H_
 #define SPECMINE_ITERMINE_CLOSED_MINER_H_

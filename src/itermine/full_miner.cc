@@ -42,11 +42,13 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
       pattern.size() >= ctx->options->max_length) {
     return;
   }
+  // The query drops every extension below min_support, so each entry
+  // is a frequent child.
   ForwardExtensionMap extensions = ctx->ws->AcquireMap();
-  ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &extensions);
+  ForwardExtensions(*ctx->backend, pattern, instances, ctx->ws, &extensions,
+                    ctx->options->min_support);
   for (auto& [ev, ext_instances] : extensions) {
     if (ctx->stop) break;
-    if (ext_instances.size() < ctx->options->min_support) continue;
     Grow(ctx, pattern.Extend(ev), ext_instances);
   }
   ctx->ws->ReleaseMap(std::move(extensions));
@@ -95,10 +97,10 @@ struct SubtreeJob {
       return;
     }
     ForwardExtensionMap extensions = ws.AcquireMap();
-    ForwardExtensions(*backend, pattern, instances, &ws, &extensions);
+    ForwardExtensions(*backend, pattern, instances, &ws, &extensions,
+                      options->min_support);
     for (auto& [ev, ext_instances] : extensions) {
       if (cancelled) break;
-      if (ext_instances.size() < options->min_support) continue;
       Grow(pattern.Extend(ev), ext_instances);
     }
     ws.ReleaseMap(std::move(extensions));

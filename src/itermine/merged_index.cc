@@ -1,6 +1,5 @@
 #include "src/itermine/merged_index.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "src/itermine/qre_verifier.h"
@@ -115,8 +114,8 @@ InstanceList SingleEventInstancesMerged(const MergedCountingIndex& index,
 void ForwardExtensionsMerged(const MergedCountingIndex& index,
                              const Pattern& pattern,
                              const InstanceList& instances,
-                             ProjectionWorkspace* ws,
-                             ForwardExtensionMap* out) {
+                             ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                             uint64_t min_support) {
   const size_t num_events = index.num_events();
   ws->forward.Reset(num_events);
   ProjectionWorkspace& cws = ws->ShardWorkspace();
@@ -140,6 +139,8 @@ void ForwardExtensionsMerged(const MergedCountingIndex& index,
         local.push_back(IterInstance{instances[t].seq - base,
                                      instances[t].start, instances[t].end});
       }
+      // Threshold 0: shard buckets are summed, so none can be dropped
+      // before the merge.
       ForwardExtensionMap shard_map = cws.AcquireMap();
       ForwardExtensions(index.shard_backend(shard), Pattern(local_pat),
                         local, &cws, &shard_map);
@@ -155,12 +156,13 @@ void ForwardExtensionsMerged(const MergedCountingIndex& index,
     }
     i = j;
   }
-  ws->forward.Drain(out);
+  ws->forward.Drain(out, min_support);
 }
 
 const BackwardExtensionMap& BackwardExtensionsMerged(
     const MergedCountingIndex& index, const Pattern& pattern,
-    const InstanceList& instances, ProjectionWorkspace* ws) {
+    const InstanceList& instances, ProjectionWorkspace* ws,
+    uint64_t min_support) {
   const size_t num_events = index.num_events();
   ws->back.Reset(num_events);
   ProjectionWorkspace& cws = ws->ShardWorkspace();
@@ -193,13 +195,7 @@ const BackwardExtensionMap& BackwardExtensionsMerged(
     }
     i = j;
   }
-  std::vector<EventId>& touched = ws->back.touched();
-  std::sort(touched.begin(), touched.end());
-  ws->back_result.clear();
-  for (EventId ev : touched) {
-    ws->back_result.emplace_back(ev, ws->back.At(ev));
-  }
-  return ws->back_result;
+  return ws->DrainBackward(min_support);
 }
 
 uint64_t CountInstancesMerged(const MergedCountingIndex& index,

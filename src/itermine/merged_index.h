@@ -124,18 +124,22 @@ class MergedCountingIndex {
 InstanceList SingleEventInstancesMerged(const MergedCountingIndex& index,
                                         EventId ev);
 
-/// \brief Merged arm of ForwardExtensions.
+/// \brief Merged arm of ForwardExtensions. The per-shard queries run at
+/// threshold 0 (an event rare in every shard can still be frequent in
+/// sum); \p min_support filters the merged buckets.
 void ForwardExtensionsMerged(const MergedCountingIndex& index,
                              const Pattern& pattern,
                              const InstanceList& instances,
-                             ProjectionWorkspace* ws,
-                             ForwardExtensionMap* out);
+                             ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                             uint64_t min_support);
 
-/// \brief Merged arm of BackwardExtensions; the returned reference lives
-/// in \p ws like the other arms'.
+/// \brief Merged arm of BackwardExtensions, thresholded after the merge
+/// like the forward arm; the returned reference lives in \p ws like the
+/// other arms'.
 const BackwardExtensionMap& BackwardExtensionsMerged(
     const MergedCountingIndex& index, const Pattern& pattern,
-    const InstanceList& instances, ProjectionWorkspace* ws);
+    const InstanceList& instances, ProjectionWorkspace* ws,
+    uint64_t min_support);
 
 /// \brief Merged arm of the QRE recount: per-shard exact counts, summed.
 uint64_t CountInstancesMerged(const MergedCountingIndex& index,

@@ -52,9 +52,24 @@ void PrepareAlphabet(const Pattern& pattern, size_t num_events,
 
 }  // namespace
 
+const BackwardExtensionMap& ProjectionWorkspace::DrainBackward(
+    uint64_t min_support) {
+  std::vector<EventId>& touched = back.touched();
+  size_t kept = 0;
+  for (EventId ev : touched) {
+    if (back.At(ev).support >= min_support) touched[kept++] = ev;
+  }
+  touched.resize(kept);
+  std::sort(touched.begin(), touched.end());
+  back_result.clear();
+  for (EventId ev : touched) back_result.emplace_back(ev, back.At(ev));
+  return back_result;
+}
+
 void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
                        const InstanceList& instances,
-                       ProjectionWorkspace* ws, ForwardExtensionMap* out) {
+                       ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                       uint64_t min_support) {
   const SequenceDatabase& db = index.db();
   const size_t num_events = index.num_events();
   PrepareAlphabet(pattern, num_events, ws);
@@ -77,13 +92,14 @@ void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
       ws->forward.Bucket(ev).push_back(IterInstance{inst.seq, inst.start, p});
     }
   }
-  ws->forward.Drain(out);
+  ws->forward.Drain(out, min_support);
 }
 
 const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
-                                               ProjectionWorkspace* ws) {
+                                               ProjectionWorkspace* ws,
+                                               uint64_t min_support) {
   const SequenceDatabase& db = index.db();
   const size_t num_events = index.num_events();
   PrepareAlphabet(pattern, num_events, ws);
@@ -108,13 +124,7 @@ const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
       ext.all_adjacent = ext.all_adjacent && adjacent;
     }
   }
-  std::vector<EventId>& touched = ws->back.touched();
-  std::sort(touched.begin(), touched.end());
-  ws->back_result.clear();
-  for (EventId ev : touched) {
-    ws->back_result.emplace_back(ev, ws->back.At(ev));
-  }
-  return ws->back_result;
+  return ws->DrainBackward(min_support);
 }
 
 bool HasUniformInfixAbsorber(const SequenceDatabase& db,
@@ -203,20 +213,24 @@ std::vector<EventId> FrequentRoots(const CountingBackend& backend,
 
 void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
                        const InstanceList& instances,
-                       ProjectionWorkspace* ws, ForwardExtensionMap* out) {
+                       ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                       uint64_t min_support) {
   switch (backend.kind()) {
     case BackendKind::kBitmap:
-      ForwardExtensionsBitmap(backend.bitmap(), pattern, instances, ws, out);
+      ForwardExtensionsBitmap(backend.bitmap(), pattern, instances, ws, out,
+                              min_support);
       return;
     case BackendKind::kHybrid:
       internal::ForwardExtensionsVertical(backend.hybrid(), pattern,
-                                          instances, ws, out);
+                                          instances, ws, out, min_support);
       return;
     case BackendKind::kMerged:
-      ForwardExtensionsMerged(backend.merged(), pattern, instances, ws, out);
+      ForwardExtensionsMerged(backend.merged(), pattern, instances, ws, out,
+                              min_support);
       return;
     default:
-      ForwardExtensions(backend.csr(), pattern, instances, ws, out);
+      ForwardExtensions(backend.csr(), pattern, instances, ws, out,
+                        min_support);
       return;
   }
 }
@@ -224,19 +238,21 @@ void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
 const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
-                                               ProjectionWorkspace* ws) {
+                                               ProjectionWorkspace* ws,
+                                               uint64_t min_support) {
   switch (backend.kind()) {
     case BackendKind::kBitmap:
       return BackwardExtensionsBitmap(backend.bitmap(), pattern, instances,
-                                      ws);
+                                      ws, min_support);
     case BackendKind::kHybrid:
       return internal::BackwardExtensionsVertical(backend.hybrid(), pattern,
-                                                  instances, ws);
+                                                  instances, ws, min_support);
     case BackendKind::kMerged:
       return BackwardExtensionsMerged(backend.merged(), pattern, instances,
-                                      ws);
+                                      ws, min_support);
     default:
-      return BackwardExtensions(backend.csr(), pattern, instances, ws);
+      return BackwardExtensions(backend.csr(), pattern, instances, ws,
+                                min_support);
   }
 }
 

@@ -27,6 +27,17 @@
 // reusable ProjectionWorkspace — no hashing, no std::map nodes, and in
 // steady state no heap allocation. The workspace-free overloads exist for
 // tests and one-off callers; the miners thread one workspace per worker.
+//
+// Threshold contract: the extension queries take the caller's
+// `min_support`. Extensions with fewer instances (forward) or a smaller
+// support (backward) are ABSENT from the result; every surviving entry is
+// exactly what the threshold-0 query returns for that event, in the same
+// ascending order. The filter runs before the touched-event sort and
+// before the result is assembled (the vertical arms never copy a dropped
+// event's candidates into a bucket), so the work a query does beyond its
+// scan scales with the extensions the caller can use, not with every
+// event seen after the instances. At 0 (the default) the full map is
+// returned.
 
 #ifndef SPECMINE_ITERMINE_PROJECTION_H_
 #define SPECMINE_ITERMINE_PROJECTION_H_
@@ -107,6 +118,10 @@ struct ProjectionWorkspace {
   EpochSlots<BackwardExtension> back;
   BackwardExtensionMap back_result;
 
+  /// \brief Collects the touched backward slots with support >= \p
+  /// min_support into back_result, ascending by event, and returns it.
+  const BackwardExtensionMap& DrainBackward(uint64_t min_support);
+
   // Infix-absorber profiles: per-event per-gap occurrence counts.
   ExtensionAccumulator<uint32_t> profiles;
   ExtensionAccumulator<uint32_t>::Map common;
@@ -150,20 +165,24 @@ InstanceList SingleEventInstances(const PositionIndex& index, EventId ev);
 std::vector<EventId> FrequentRoots(const PositionIndex& index,
                                    uint64_t min_support);
 
-/// \brief Instances of every one-event forward extension P++<e>, written
-/// into \p out (cleared first). Events with no valid extension are absent;
+/// \brief Instances of every one-event forward extension P++<e> with at
+/// least \p min_support instances, written into \p out (cleared first).
+/// Events with no valid extension, or fewer instances, are absent;
 /// iteration order is ascending event id, so it is deterministic.
 void ForwardExtensions(const PositionIndex& index, const Pattern& pattern,
                        const InstanceList& instances,
-                       ProjectionWorkspace* ws, ForwardExtensionMap* out);
+                       ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                       uint64_t min_support = 0);
 
-/// \brief Supports (and adjacency) of every one-event backward extension.
-/// The returned reference lives in \p ws and is valid until the next
-/// BackwardExtensions call on the same workspace.
+/// \brief Supports (and adjacency) of every one-event backward extension
+/// with support >= \p min_support. The returned reference lives in \p ws
+/// and is valid until the next BackwardExtensions call on the same
+/// workspace.
 const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
-                                               ProjectionWorkspace* ws);
+                                               ProjectionWorkspace* ws,
+                                               uint64_t min_support = 0);
 
 /// \brief True iff some event e outside alphabet(pattern) occurs with an
 /// identical, somewhere-non-zero per-gap count profile in every instance —
@@ -200,17 +219,20 @@ InstanceList SingleEventInstances(const CountingBackend& backend, EventId ev);
 std::vector<EventId> FrequentRoots(const CountingBackend& backend,
                                    uint64_t min_support);
 
-/// \brief ForwardExtensions on either backend.
+/// \brief ForwardExtensions on any backend, under the same threshold
+/// contract.
 void ForwardExtensions(const CountingBackend& backend, const Pattern& pattern,
                        const InstanceList& instances,
-                       ProjectionWorkspace* ws, ForwardExtensionMap* out);
+                       ProjectionWorkspace* ws, ForwardExtensionMap* out,
+                       uint64_t min_support = 0);
 
-/// \brief BackwardExtensions on either backend; the returned reference
-/// lives in \p ws either way.
+/// \brief BackwardExtensions on any backend; the returned reference lives
+/// in \p ws either way.
 const BackwardExtensionMap& BackwardExtensions(const CountingBackend& backend,
                                                const Pattern& pattern,
                                                const InstanceList& instances,
-                                               ProjectionWorkspace* ws);
+                                               ProjectionWorkspace* ws,
+                                               uint64_t min_support = 0);
 
 /// \brief HasUniformInfixAbsorber on any backend. The materialized
 /// backends run the db-level check above on backend.db(); the merged

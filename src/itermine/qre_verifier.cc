@@ -1,6 +1,7 @@
 #include "src/itermine/qre_verifier.h"
 
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "src/itermine/bitmap_projection.h"
 #include "src/itermine/merged_index.h"
@@ -8,15 +9,66 @@
 
 namespace specmine {
 
+namespace {
+
+// The pattern's alphabet as dense per-event flags, built once per pattern
+// and shared by every sequence it is matched against: one array lookup per
+// scanned position instead of a hash probe, and no per-sequence set build.
+class AlphabetMarks {
+ public:
+  explicit AlphabetMarks(const Pattern& pattern) {
+    for (EventId ev : pattern) {
+      if (ev >= marks_.size()) marks_.resize(static_cast<size_t>(ev) + 1, 0);
+      marks_[ev] = 1;
+    }
+  }
+
+  bool Contains(EventId ev) const {
+    return ev < marks_.size() && marks_[ev] != 0;
+  }
+
+ private:
+  std::vector<uint8_t> marks_;
+};
+
+// Appends every instance of the non-empty \p pattern in \p seq to \p out.
+void AppendInstances(const Pattern& pattern, const AlphabetMarks& alphabet,
+                     EventSpan seq, SeqId seq_id, InstanceList* out) {
+  for (Pos start = 0; start < seq.size(); ++start) {
+    if (seq[start] != pattern[0]) continue;
+    // Deterministic chain: each subsequent pattern event must be the first
+    // alphabet event after the previous one; any other alphabet event
+    // breaks the chain.
+    size_t k = 1;
+    Pos last = start;
+    bool broken = false;
+    for (Pos p = start + 1; p < seq.size() && k < pattern.size(); ++p) {
+      EventId ev = seq[p];
+      if (!alphabet.Contains(ev)) continue;
+      if (ev != pattern[k]) {
+        broken = true;
+        break;
+      }
+      ++k;
+      last = p;
+    }
+    if (!broken && k == pattern.size()) {
+      out->push_back(IterInstance{seq_id, start, last});
+    }
+  }
+}
+
+}  // namespace
+
 bool IsQreInstance(const Pattern& pattern, EventSpan seq, Pos start,
                    Pos end) {
   if (pattern.empty()) return false;
   if (end >= seq.size() || start > end) return false;
-  const auto alphabet = pattern.Alphabet();
+  const AlphabetMarks alphabet(pattern);
   size_t k = 0;
   for (Pos p = start; p <= end; ++p) {
     EventId ev = seq[p];
-    if (alphabet.count(ev) != 0) {
+    if (alphabet.Contains(ev)) {
       // Every alphabet event inside the substring must be the next pattern
       // event, in order.
       if (k >= pattern.size() || ev != pattern[k]) return false;
@@ -33,38 +85,17 @@ InstanceList FindInstances(const Pattern& pattern, EventSpan seq,
                            SeqId seq_id) {
   InstanceList out;
   if (pattern.empty()) return out;
-  const auto alphabet = pattern.Alphabet();
-  for (Pos start = 0; start < seq.size(); ++start) {
-    if (seq[start] != pattern[0]) continue;
-    // Deterministic chain: each subsequent pattern event must be the first
-    // alphabet event after the previous one; any other alphabet event
-    // breaks the chain.
-    size_t k = 1;
-    Pos last = start;
-    bool broken = false;
-    for (Pos p = start + 1; p < seq.size() && k < pattern.size(); ++p) {
-      EventId ev = seq[p];
-      if (alphabet.count(ev) == 0) continue;
-      if (ev != pattern[k]) {
-        broken = true;
-        break;
-      }
-      ++k;
-      last = p;
-    }
-    if (!broken && k == pattern.size()) {
-      out.push_back(IterInstance{seq_id, start, last});
-    }
-  }
+  AppendInstances(pattern, AlphabetMarks(pattern), seq, seq_id, &out);
   return out;
 }
 
 InstanceList FindAllInstances(const Pattern& pattern,
                               const SequenceDatabase& db) {
   InstanceList out;
+  if (pattern.empty()) return out;
+  const AlphabetMarks alphabet(pattern);
   for (SeqId s = 0; s < db.size(); ++s) {
-    InstanceList one = FindInstances(pattern, db[s], s);
-    out.insert(out.end(), one.begin(), one.end());
+    AppendInstances(pattern, alphabet, db[s], s, &out);
   }
   return out;
 }

@@ -115,7 +115,8 @@ template <typename Index>
 void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
                                const InstanceList& instances,
                                ProjectionWorkspace* ws,
-                               ForwardExtensionMap* out) {
+                               ForwardExtensionMap* out,
+                               uint64_t min_support) {
   BitmapProjectionScratch& sc = ws->bitmap;
   const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
@@ -177,10 +178,22 @@ void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
   // Count-and-scatter drain: the touched-event list gives exact bucket
   // sizes, so each bucket is reserved once (no realloc churn — the CSR
   // cold path's dominant cost) and the flat buffer is scattered in
-  // discovery order, which within an event IS the CSR bucket order. Only
-  // the distinct-event list (small) is ever sorted, never the K
-  // candidates.
+  // discovery order, which within an event IS the CSR bucket order.
+  // Events below the threshold are dropped first and their slots marked,
+  // so only the surviving distinct events are sorted and only their
+  // candidates are copied; the K candidates themselves are never sorted.
+  constexpr uint32_t kDropped = ~uint32_t{0};
   std::vector<EventId>& touched = sc.slots.touched();
+  size_t kept = 0;
+  for (EventId ev : touched) {
+    uint32_t& slot = sc.slots.Slot(ev);
+    if (slot >= min_support) {
+      touched[kept++] = ev;
+    } else {
+      slot = kDropped;
+    }
+  }
+  touched.resize(kept);
   std::sort(touched.begin(), touched.end());
   out->clear();
   out->entries().reserve(touched.size());
@@ -194,14 +207,15 @@ void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
   }
   auto& entries = out->entries();
   for (const BitmapProjectionScratch::ForwardCandidate& cand : sc.forward) {
-    entries[sc.slots.At(cand.ev)].second.push_back(cand.inst);
+    const uint32_t entry = sc.slots.At(cand.ev);
+    if (entry != kDropped) entries[entry].second.push_back(cand.inst);
   }
 }
 
 template <typename Index>
 const BackwardExtensionMap& BackwardExtensionsVertical(
     const Index& index, const Pattern& pattern, const InstanceList& instances,
-    ProjectionWorkspace* ws) {
+    ProjectionWorkspace* ws, uint64_t min_support) {
   BitmapProjectionScratch& sc = ws->bitmap;
   const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
@@ -255,14 +269,7 @@ const BackwardExtensionMap& BackwardExtensionsVertical(
       ext.all_adjacent = ext.all_adjacent && (stop + 1 == gstart);
     }
   }
-
-  std::vector<EventId>& touched = ws->back.touched();
-  std::sort(touched.begin(), touched.end());
-  ws->back_result.clear();
-  for (EventId ev : touched) {
-    ws->back_result.emplace_back(ev, ws->back.At(ev));
-  }
-  return ws->back_result;
+  return ws->DrainBackward(min_support);
 }
 
 template <typename Index>

@@ -53,9 +53,10 @@ struct MinerContext {
   }
 };
 
-// Collects, for every event e, the projected entries of P++<e>. Iteration
-// over the drained map is in ascending event id, so extension order stays
-// deterministic.
+// Collects, for every frequent event e, the projected entries of P++<e>:
+// events supported by fewer than min_support units are dropped before the
+// drain's sort. Iteration over the drained map is in ascending event id,
+// so extension order stays deterministic.
 void CollectExtensions(MinerContext* ctx,
                        const std::vector<Entry>& projection, bool at_root,
                        ExtensionMap* extensions) {
@@ -77,7 +78,7 @@ void CollectExtensions(MinerContext* ctx,
       proj.push_back(Entry{entry.unit, p});
     }
   }
-  ctx->acc.Drain(extensions);
+  ctx->acc.Drain(extensions, ctx->options->min_support);
 }
 
 void Grow(MinerContext* ctx, Pattern* prefix,
@@ -95,7 +96,6 @@ void Grow(MinerContext* ctx, Pattern* prefix,
   for (auto& [ev, proj] : extensions) {
     if (ctx->stop) break;
     uint64_t support = proj.size();
-    if (support < ctx->options->min_support) continue;
     Pattern candidate = prefix->Extend(ev);
     ctx->supporting.clear();
     ctx->supporting.reserve(proj.size());

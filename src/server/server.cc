@@ -93,6 +93,22 @@ Status DecodeCommon(const JsonValue& body, MineCommon* out) {
   return body.GetUint("timeout_ms", &out->timeout_ms);
 }
 
+// Reads a support threshold field: a fraction of the corpus's traces in
+// (0, 1]. Engine::AbsoluteSupport scales every value by the trace count,
+// so a count above 1 would mine at count x traces (and find nothing),
+// and 0 would silently mine at threshold 1 (unbounded); both are refused.
+Status GetSupportFraction(const JsonValue& body, std::string_view key,
+                          double* out) {
+  Status status = body.GetDouble(key, out);
+  if (!status.ok()) return status;
+  if (!(*out > 0.0 && *out <= 1.0)) {
+    return Status::InvalidArgument("field '" + std::string(key) +
+                                   "' must be a fraction of the traces in "
+                                   "(0, 1]");
+  }
+  return Status::OK();
+}
+
 // Arms \p token's deadline when the request carried a timeout, mirroring
 // the CLI's --timeout-ms. The token itself is always handed to the miner
 // (unarmed it never fires on its own) so that Stop() can cancel a mine
@@ -571,7 +587,7 @@ HttpResponse Server::HandleMine(const std::string& path,
     double min_sup = 0.5;
     uint64_t max_len = 0, threads = 0;
     bool full = false, generators = false;
-    status = body.GetDouble("min_sup", &min_sup);
+    status = GetSupportFraction(body, "min_sup", &min_sup);
     if (status.ok()) status = body.GetUint("max_len", &max_len);
     if (status.ok()) status = body.GetUint("threads", &threads);
     if (status.ok()) status = body.GetBool("full", &full);
@@ -627,7 +643,7 @@ HttpResponse Server::HandleMine(const std::string& path,
     double min_ssup = 0.5, min_conf = 0.9;
     uint64_t min_isup = 1, max_pre = 0, max_post = 0, threads = 0;
     bool full = false, backward = false;
-    status = body.GetDouble("min_ssup", &min_ssup);
+    status = GetSupportFraction(body, "min_ssup", &min_ssup);
     if (status.ok()) status = body.GetDouble("min_conf", &min_conf);
     if (status.ok()) status = body.GetUint("min_isup", &min_isup);
     if (status.ok()) status = body.GetUint("max_pre", &max_pre);
@@ -659,7 +675,7 @@ HttpResponse Server::HandleMine(const std::string& path,
     double min_sup = 0.5;
     uint64_t max_len = 0;
     bool closed = false, generators = false;
-    status = body.GetDouble("min_sup", &min_sup);
+    status = GetSupportFraction(body, "min_sup", &min_sup);
     if (status.ok()) status = body.GetUint("max_len", &max_len);
     if (status.ok()) status = body.GetBool("closed", &closed);
     if (status.ok()) status = body.GetBool("generators", &generators);

@@ -5,7 +5,7 @@
 // Usage per pattern node:
 //   acc.Reset(num_events);
 //   ... acc.Bucket(ev).push_back(item) ...   // O(1), no hashing
-//   acc.Drain(&out);                         // sorted by event id
+//   acc.Drain(&out, min_size);               // sorted by event id
 //   ... consume out (may outlive further Reset/Bucket cycles) ...
 //   acc.Recycle(std::move(out));             // return capacity to the pool
 //
@@ -72,15 +72,22 @@ class ExtensionAccumulator {
   /// \brief Event ids touched this epoch, in touch order (unsorted).
   const std::vector<EventId>& touched() const { return touched_; }
 
-  /// \brief Moves the touched buckets into \p out, sorted by event id.
-  /// Empty buckets are skipped. \p out is cleared first.
-  void Drain(Map* out) {
+  /// \brief Moves the touched buckets holding at least \p min_size items
+  /// into \p out, sorted by event id. Empty buckets are always skipped;
+  /// smaller ones are dropped before the sort, so a caller that would
+  /// discard them pays neither for sorting nor for moving them. Dropped
+  /// buckets keep their capacity for the next epoch. \p out is cleared
+  /// first.
+  void Drain(Map* out, size_t min_size = 0) {
+    if (min_size == 0) min_size = 1;
+    size_t kept = 0;
+    for (EventId ev : touched_) {
+      if (buckets_[ev].size() >= min_size) touched_[kept++] = ev;
+    }
+    touched_.resize(kept);
     std::sort(touched_.begin(), touched_.end());
     out->clear();
-    for (EventId ev : touched_) {
-      if (buckets_[ev].empty()) continue;
-      out->emplace_back(ev, std::move(buckets_[ev]));
-    }
+    for (EventId ev : touched_) out->emplace_back(ev, std::move(buckets_[ev]));
     touched_.clear();
   }
 

@@ -1,17 +1,24 @@
 // Tests for the future-work extensions (paper Section 8): iterative
 // pattern generators, backward recurrent rules, pattern/rule ranking, and
-// the CSV trace reader.
+// the CSV trace reader. Plus the threshold contract of the one-event
+// extension queries every miner grows patterns through.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <tuple>
 
 #include "src/itermine/generators.h"
+#include "src/itermine/merged_index.h"
+#include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/rulemine/backward_rules.h"
 #include "src/specmine/ranking.h"
+#include "src/support/random.h"
 #include "src/support/strings.h"
 #include "src/trace/csv_trace_reader.h"
+#include "src/trace/shard_set.h"
 
 namespace specmine {
 namespace {
@@ -30,6 +37,144 @@ Pattern P(const SequenceDatabase& db, const std::string& names) {
     p = p.Extend(id);
   }
   return p;
+}
+
+// ---------------------------------------------------------------------------
+// Threshold contract of ForwardExtensions / BackwardExtensions: the query
+// at threshold k returns exactly the threshold-0 result with the entries
+// below k removed (same events, same order, same instances / supports),
+// on every backend.
+
+SequenceDatabase RandomDb(uint64_t seed, size_t num_seqs, size_t max_len,
+                          size_t alphabet) {
+  Rng rng(seed);
+  SequenceDatabaseBuilder db;
+  for (size_t i = 0; i < alphabet; ++i) {
+    db.mutable_dictionary()->Intern("e" + std::to_string(i));
+  }
+  for (size_t s = 0; s < num_seqs; ++s) {
+    Sequence seq;
+    const size_t len = 1 + rng.Uniform(max_len);
+    for (size_t k = 0; k < len; ++k) {
+      seq.Append(static_cast<EventId>(rng.Uniform(alphabet)));
+    }
+    db.AddSequence(seq);
+  }
+  return db.Build();
+}
+
+// A backward map as comparable (event, support, all_adjacent) rows.
+std::vector<std::tuple<EventId, uint64_t, bool>> Rows(
+    const BackwardExtensionMap& map) {
+  std::vector<std::tuple<EventId, uint64_t, bool>> out;
+  for (const auto& [ev, ext] : map) {
+    out.emplace_back(ev, ext.support, ext.all_adjacent);
+  }
+  return out;
+}
+
+// Checks both queries on \p pattern at thresholds {sup, 2, 1, 0} against
+// the threshold-0 results, reusing one workspace throughout (the last
+// check at 0 catches state a thresholded call leaves behind). Returns the
+// threshold-0 forward map, the children to recurse into.
+ForwardExtensionMap CheckThresholds(const CountingBackend& backend,
+                                    const Pattern& pattern,
+                                    const InstanceList& instances,
+                                    ProjectionWorkspace* ws) {
+  const std::string where =
+      std::string(backend.name()) + " " + pattern.ToString();
+  ForwardExtensionMap forward0;
+  ForwardExtensions(backend, pattern, instances, ws, &forward0);
+  const auto backward0 =
+      Rows(BackwardExtensions(backend, pattern, instances, ws));
+  for (uint64_t k : {uint64_t{instances.size()}, uint64_t{2}, uint64_t{1},
+                     uint64_t{0}}) {
+    ForwardExtensionMap forward;
+    ForwardExtensions(backend, pattern, instances, ws, &forward, k);
+    ForwardExtensionMap expected_forward;
+    for (const auto& [ev, insts] : forward0) {
+      if (insts.size() >= k) expected_forward.emplace_back(ev, insts);
+    }
+    EXPECT_EQ(forward.entries(), expected_forward.entries())
+        << where << " k=" << k;
+
+    std::vector<std::tuple<EventId, uint64_t, bool>> expected_backward;
+    for (const auto& row : backward0) {
+      if (std::get<1>(row) >= k) expected_backward.push_back(row);
+    }
+    EXPECT_EQ(Rows(BackwardExtensions(backend, pattern, instances, ws, k)),
+              expected_backward)
+        << where << " k=" << k;
+  }
+  return forward0;
+}
+
+// Every pattern of up to three events with at least one instance.
+void CheckThresholdContract(const CountingBackend& backend) {
+  ProjectionWorkspace ws;
+  for (EventId ev = 0; ev < backend.num_events(); ++ev) {
+    const Pattern root{ev};
+    const InstanceList root_instances = SingleEventInstances(backend, ev);
+    if (root_instances.empty()) continue;
+    const ForwardExtensionMap children =
+        CheckThresholds(backend, root, root_instances, &ws);
+    for (const auto& [second, insts] : children) {
+      const ForwardExtensionMap grandchildren =
+          CheckThresholds(backend, root.Extend(second), insts, &ws);
+      for (const auto& [third, deeper] : grandchildren) {
+        CheckThresholds(backend, root.Extend(second).Extend(third), deeper,
+                        &ws);
+      }
+    }
+  }
+}
+
+TEST(ProjectionThresholdTest, MaterializedBackendsDropOnlyEntriesBelowK) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SequenceDatabase db = RandomDb(seed, 10, 12, 4 + seed % 3);
+    PositionIndex csr(db);
+    BitmapIndex bitmap(db);
+    HybridIndex hybrid(db);
+    // Every event on the ID-list side, so the sparse arm runs too.
+    HybridIndex all_sparse(db, ~uint64_t{0});
+    for (const CountingBackend& backend :
+         {CountingBackend(csr), CountingBackend(bitmap),
+          CountingBackend(hybrid), CountingBackend(all_sparse)}) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      CheckThresholdContract(backend);
+    }
+  }
+}
+
+TEST(ProjectionThresholdTest, MergedBackendThresholdsAfterTheMerge) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SequenceDatabase db = RandomDb(seed, 12, 12, 4 + seed % 3);
+    const std::string path = testing::TempDir() + "/threshold_contract_" +
+                             std::to_string(seed) + ".smdbset";
+    ShardWriterOptions writer;
+    writer.shard_bytes = 400;  // Two or three shards, remapped dictionaries.
+    ASSERT_TRUE(WriteShardedDatabase(db, path, writer).ok());
+    Result<ShardedDatabase> set = ShardedDatabase::Open(path);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    ASSERT_GE(set->num_shards(), 2u);
+    // Alternate the per-shard representation so the delegated queries
+    // cover both the CSR and the vertical arms.
+    std::vector<std::unique_ptr<PositionIndex>> csr;
+    std::vector<std::unique_ptr<BitmapIndex>> bitmap;
+    std::vector<CountingBackend> shards;
+    for (size_t i = 0; i < set->num_shards(); ++i) {
+      if (i % 2 == 0) {
+        csr.push_back(std::make_unique<PositionIndex>(set->shard(i)));
+        shards.emplace_back(*csr.back());
+      } else {
+        bitmap.push_back(std::make_unique<BitmapIndex>(set->shard(i)));
+        shards.emplace_back(*bitmap.back());
+      }
+    }
+    const MergedCountingIndex merged(*set, shards);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CheckThresholdContract(CountingBackend(merged));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/specmine/cli.h"
@@ -203,6 +204,33 @@ TEST_F(ServerTest, ErrorEnvelopesUseTheStatusMapping) {
   // (kDeadlineExceeded -> 504 is pinned in the exhaustive StatusToHttp
   // test; a live expired-deadline request would race the miner on a tiny
   // corpus.)
+}
+
+// Support thresholds are fractions of the traces in (0, 1]: a count, 0,
+// or a negative value is a 400 naming the field, not a silent mine at a
+// rescaled threshold. Both ends of the range are accepted.
+TEST_F(ServerTest, SupportThresholdsOutsideTheUnitIntervalAre400) {
+  const std::vector<std::pair<std::string, std::string>> routes = {
+      {"/mine/patterns", "min_sup"},
+      {"/mine/rules", "min_ssup"},
+      {"/mine/seq", "min_sup"}};
+  for (const auto& [route, field] : routes) {
+    for (const char* bad : {"5", "1.5", "0", "-0.2"}) {
+      const std::string response =
+          PostJson(port(), route,
+                   R"({"corpus": "demo", ")" + field + "\": " + bad + "}");
+      EXPECT_EQ(StatusOf(response), 400) << route << " " << bad;
+      EXPECT_NE(BodyOf(response).find("'" + field + "'"), std::string::npos)
+          << route << " " << bad << ": " << BodyOf(response);
+    }
+    for (const char* good : {"1", "0.001"}) {
+      EXPECT_EQ(StatusOf(PostJson(port(), route,
+                                  R"({"corpus": "demo", ")" + field +
+                                      "\": " + good + "}")),
+                200)
+          << route << " " << good;
+    }
+  }
 }
 
 TEST_F(ServerTest, AdmissionOverflowIs429WithRetryAfter) {

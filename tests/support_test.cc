@@ -1,5 +1,6 @@
 // Unit tests for src/support: Status/Result, RNG & samplers, strings,
-// stopwatch, thread pool error capture, fault injection.
+// stopwatch, thread pool error capture, fault injection, the extension
+// accumulator's thresholded drain.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/support/extension_accumulator.h"
 #include "src/support/fault_injection.h"
 #include "src/support/random.h"
 #include "src/support/status.h"
@@ -325,6 +327,58 @@ TEST(FaultInjectionTest, ArmedThrowSurfacesThroughThePool) {
   FaultInjector::Instance().DisarmAll();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
+}
+
+// Drain(out, k) keeps exactly the buckets of Drain(out) with >= k items,
+// sorted by event id, and dropped buckets leave no trace in the next epoch.
+TEST(ExtensionAccumulatorTest, DrainDropsBucketsBelowTheThreshold) {
+  ExtensionAccumulator<int> acc;
+  const auto fill = [&acc] {
+    acc.Reset(8);
+    // Touch order 5, 2, 7, 0: event 5 gets 3 items, 2 gets 1, 7 gets 2,
+    // and 0 is touched but left empty.
+    for (int i = 0; i < 3; ++i) acc.Bucket(5).push_back(50 + i);
+    acc.Bucket(2).push_back(20);
+    acc.Bucket(7).push_back(70);
+    acc.Bucket(7).push_back(71);
+    acc.Bucket(0);
+  };
+  using Map = ExtensionAccumulator<int>::Map;
+  const auto keys = [](const Map& m) {
+    std::vector<EventId> out;
+    for (const auto& [ev, bucket] : m) out.push_back(ev);
+    return out;
+  };
+
+  Map all;
+  fill();
+  acc.Drain(&all);  // Threshold 0 still skips the empty bucket.
+  EXPECT_EQ(keys(all), (std::vector<EventId>{2, 5, 7}));
+
+  for (size_t k : {0u, 1u, 2u, 3u, 4u}) {
+    Map out;
+    fill();
+    acc.Drain(&out, k);
+    std::vector<EventId> expected;
+    for (const auto& [ev, bucket] : all) {
+      if (bucket.size() >= k) expected.push_back(ev);
+    }
+    EXPECT_EQ(keys(out), expected) << "k=" << k;
+    for (const auto& [ev, bucket] : out) {
+      EXPECT_EQ(bucket, all.at(ev)) << "k=" << k << " ev=" << ev;
+    }
+    acc.Recycle(std::move(out));
+  }
+
+  // A bucket dropped by one drain starts empty in the next epoch.
+  Map out;
+  fill();
+  acc.Drain(&out, 3);
+  acc.Reset(8);
+  acc.Bucket(2).push_back(21);
+  acc.Drain(&out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.begin()->second, (std::vector<int>{21}));
 }
 
 }  // namespace
