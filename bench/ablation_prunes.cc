@@ -10,41 +10,41 @@
 #include "src/episode/gap_episodes.h"
 #include "src/episode/minepi.h"
 #include "src/episode/winepi.h"
-#include "src/itermine/closed_miner.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/random.h"
 
 namespace specmine {
 namespace {
 
-void RunConfig(const SequenceDatabase& db, uint64_t min_sup, bool p1, bool p2,
+void RunConfig(const Engine& engine, uint64_t min_sup, bool p1, bool p2,
                bool p3, const char* label) {
-  ClosedIterMinerOptions options;
-  options.min_support = min_sup;
-  options.prefix_prune = p1;
-  options.aggressive_prefix_prune = p2;
-  options.infix_prune = p3;
+  ClosedTask task;
+  task.options.min_support = min_sup;
+  task.options.prefix_prune = p1;
+  task.options.aggressive_prefix_prune = p2;
+  task.options.infix_prune = p3;
   Stopwatch sw;
-  IterMinerStats stats;
-  PatternSet out = MineClosedIterative(db, options, &stats);
+  RunReport report;
+  PatternSet out = bench::OrExit(engine.CollectPatterns(task, &report));
   std::printf("%-24s %10.3f %10zu %10zu %10zu\n", label, sw.ElapsedSeconds(),
-              out.size(), stats.nodes_visited, stats.subtrees_pruned);
+              out.size(), report.nodes_visited, report.subtrees_pruned);
 }
 
 int Run() {
   std::printf("=== Ablation: closed-miner pruning ingredients ===\n");
-  SequenceDatabase db = bench::MakeBenchDatabase();
+  const Engine engine =
+      bench::OrExit(Engine::Create(bench::MakeBenchDatabase()));
   const uint64_t min_sup = static_cast<uint64_t>(
-      (bench::PaperScale() ? 0.0025 : 0.030) * db.size());
+      (bench::PaperScale() ? 0.0025 : 0.030) * engine.num_sequences());
 
   std::printf("%-24s %10s %10s %10s %10s\n", "config", "time(s)", "patterns",
               "nodes", "pruned");
   bench::PrintRule(70);
-  RunConfig(db, min_sup, false, false, false, "no subtree prunes");
-  RunConfig(db, min_sup, true, false, false, "P1 (prefix) only");
-  RunConfig(db, min_sup, true, true, false, "P1 + P2 (prefix)");
-  RunConfig(db, min_sup, false, false, true, "P3 (infix) only");
-  RunConfig(db, min_sup, true, true, true, "P1 + P2 + P3 (default)");
+  RunConfig(engine, min_sup, false, false, false, "no subtree prunes");
+  RunConfig(engine, min_sup, true, false, false, "P1 (prefix) only");
+  RunConfig(engine, min_sup, true, true, false, "P1 + P2 (prefix)");
+  RunConfig(engine, min_sup, false, false, true, "P3 (infix) only");
+  RunConfig(engine, min_sup, true, true, true, "P1 + P2 + P3 (default)");
 
   std::printf(
       "\n=== Baseline contrast: far-apart constraints vs windowed episode "

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/engine/engine.h"
 #include "src/support/stopwatch.h"
 #include "src/synth/quest_generator.h"
 #include "src/trace/binary_format.h"
@@ -171,6 +172,18 @@ inline ShardBenchFiles WriteShardBenchFiles(
   return files;
 }
 
+/// \brief The value of \p result; prints the status and exits on failure
+/// (benches have no error channel).
+template <typename T>
+inline T OrExit(Result<T> result) {
+  if (!result.ok()) {
+    std::fprintf(stderr, "bench failed: %s\n",
+                 result.status().ToString().c_str());
+    std::exit(1);
+  }
+  return result.TakeValueOrDie();
+}
+
 /// \brief Times a callable returning a size (pattern/rule count).
 template <typename Fn>
 inline std::pair<double, size_t> TimedCount(Fn&& fn) {
@@ -198,13 +211,15 @@ class JsonReport {
  public:
   explicit JsonReport(std::string path) : path_(std::move(path)) {}
 
-  /// \brief Records one benchmark result in nanoseconds per operation.
-  void Record(const std::string& name, double ns_per_op) {
-    entries_.emplace_back(name, ns_per_op);
+  /// \brief Records one benchmark result: nanoseconds per operation unless
+  /// \p unit says otherwise ("kB" for the peak-RSS probes).
+  void Record(const std::string& name, double value,
+              const char* unit = "ns") {
+    entries_.push_back({name, value, unit});
   }
 
-  /// \brief Writes {"benchmarks": [{"name": ..., "ns_per_op": ...}, ...]}.
-  /// Returns false (with a message on stderr) on IO failure.
+  /// \brief Writes {"benchmarks": [{"name": ..., "value": ..., "unit":
+  /// ...}, ...]}. Returns false (with a message on stderr) on IO failure.
   bool Write() const {
     std::FILE* f = std::fopen(path_.c_str(), "w");
     if (f == nullptr) {
@@ -213,9 +228,11 @@ class JsonReport {
     }
     std::fprintf(f, "{\n  \"benchmarks\": [\n");
     for (size_t i = 0; i < entries_.size(); ++i) {
-      std::fprintf(f, "    {\"name\": \"%s\", \"ns_per_op\": %.1f}%s\n",
-                   entries_[i].first.c_str(), entries_[i].second,
-                   i + 1 < entries_.size() ? "," : "");
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"value\": %.1f, \"unit\": "
+                   "\"%s\"}%s\n",
+                   entries_[i].name.c_str(), entries_[i].value,
+                   entries_[i].unit, i + 1 < entries_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -225,8 +242,13 @@ class JsonReport {
   }
 
  private:
+  struct Entry {
+    std::string name;
+    double value;
+    const char* unit;
+  };
   std::string path_;
-  std::vector<std::pair<std::string, double>> entries_;
+  std::vector<Entry> entries_;
 };
 
 /// \brief Times \p fn (ns per call), auto-calibrating the iteration count

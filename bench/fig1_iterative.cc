@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/itermine/closed_miner.h"
-#include "src/itermine/full_miner.h"
 #include "src/specmine/visualize.h"
 
 namespace specmine {
@@ -23,7 +21,8 @@ namespace {
 int Run() {
   using bench::TimedCount;
   std::printf("=== Figure 1: iterative pattern mining, Full vs Closed ===\n");
-  SequenceDatabase db = bench::MakeBenchDatabase();
+  const Engine engine =
+      bench::OrExit(Engine::Create(bench::MakeBenchDatabase()));
 
   // Thresholds relative to |DB|, highest to lowest as in the paper's
   // x-axes (0.34% .. 0.10% at paper scale; proportionally higher on the
@@ -40,22 +39,23 @@ int Run() {
   ChartSeries full_time{"Full", {}}, closed_time{"Closed", {}};
   ChartSeries full_count{"Full", {}}, closed_count{"Closed", {}};
   for (double fraction : fractions) {
-    uint64_t min_sup = static_cast<uint64_t>(fraction * db.size());
+    uint64_t min_sup =
+        static_cast<uint64_t>(fraction * engine.num_sequences());
     if (min_sup == 0) min_sup = 1;
 
-    IterMinerOptions full_options;
-    full_options.min_support = min_sup;
-    full_options.max_patterns = 20'000'000;
-    IterMinerStats full_stats;
+    FullPatternsTask full_task;
+    full_task.options.min_support = min_sup;
+    full_task.options.max_patterns = 20'000'000;
+    RunReport full_report;
     auto [full_time_s, full_count_n] = TimedCount([&] {
-      return MineFrequentIterative(db, full_options, &full_stats).size();
+      return bench::OrExit(engine.CollectPatterns(full_task, &full_report))
+          .size();
     });
 
-    ClosedIterMinerOptions closed_options;
-    closed_options.min_support = min_sup;
-    IterMinerStats closed_stats;
+    ClosedTask closed_task;
+    closed_task.options.min_support = min_sup;
     auto [closed_time_s, closed_count_n] = TimedCount([&] {
-      return MineClosedIterative(db, closed_options, &closed_stats).size();
+      return bench::OrExit(engine.CollectPatterns(closed_task)).size();
     });
 
     std::printf("%-9.3f%% %12.3f %12.3f %12zu %12zu %8.1fx %8.1fx%s\n",
@@ -66,7 +66,7 @@ int Run() {
                     ? static_cast<double>(full_count_n) /
                           static_cast<double>(closed_count_n)
                     : 0.0,
-                full_stats.truncated ? "  [full truncated]" : "");
+                full_report.truncated ? "  [full truncated]" : "");
     char label[16];
     std::snprintf(label, sizeof(label), "%.2f%%", fraction * 100.0);
     labels.push_back(label);

@@ -11,7 +11,6 @@
 
 #include "bench/bench_util.h"
 #include "src/specmine/visualize.h"
-#include "src/rulemine/rule_miner.h"
 
 namespace specmine {
 namespace {
@@ -21,7 +20,8 @@ int Run() {
   std::printf(
       "=== Figure 2: recurrent rules, Full vs NR (min_conf=50%%, "
       "min_i-sup=1) ===\n");
-  SequenceDatabase db = bench::MakeBenchDatabase();
+  const Engine engine =
+      bench::OrExit(Engine::Create(bench::MakeBenchDatabase()));
 
   // Paper sweep: 0.40% .. 0.60% of sequences.
   std::vector<double> fractions =
@@ -36,27 +36,27 @@ int Run() {
   ChartSeries full_time_series{"Full", {}}, nr_time_series{"NR", {}};
   ChartSeries full_count_series{"Full", {}}, nr_count_series{"NR", {}};
   for (double fraction : fractions) {
-    uint64_t min_s_sup = static_cast<uint64_t>(fraction * db.size());
+    uint64_t min_s_sup =
+        static_cast<uint64_t>(fraction * engine.num_sequences());
     if (min_s_sup == 0) min_s_sup = 1;
 
-    RuleMinerOptions full_options;
-    full_options.min_s_support = min_s_sup;
-    full_options.min_confidence = 0.5;
-    full_options.min_i_support = 1;
-    full_options.non_redundant = false;
-    full_options.max_rules = 5'000'000;
-    RuleMinerStats full_stats;
+    RulesTask full_task;
+    full_task.options.min_s_support = min_s_sup;
+    full_task.options.min_confidence = 0.5;
+    full_task.options.min_i_support = 1;
+    full_task.options.non_redundant = false;
+    full_task.options.max_rules = 5'000'000;
+    RunReport full_report;
     auto [full_time, full_count] = TimedCount([&] {
-      return MineRecurrentRules(db, full_options, &full_stats).size();
+      return bench::OrExit(engine.CollectRules(full_task, &full_report))
+          .size();
     });
 
-    RuleMinerOptions nr_options = full_options;
-    nr_options.non_redundant = true;
-    nr_options.max_rules = 0;
-    RuleMinerStats nr_stats;
-    auto [nr_time, nr_count] = TimedCount([&] {
-      return MineRecurrentRules(db, nr_options, &nr_stats).size();
-    });
+    RulesTask nr_task = full_task;
+    nr_task.options.non_redundant = true;
+    nr_task.options.max_rules = 0;
+    auto [nr_time, nr_count] = TimedCount(
+        [&] { return bench::OrExit(engine.CollectRules(nr_task)).size(); });
 
     std::printf("%-11.3f%% %12.3f %12.3f %12zu %12zu %8.1fx %8.1fx%s\n",
                 fraction * 100.0, full_time, nr_time, full_count, nr_count,
@@ -64,7 +64,7 @@ int Run() {
                 nr_count > 0 ? static_cast<double>(full_count) /
                                    static_cast<double>(nr_count)
                              : 0.0,
-                full_stats.truncated ? "  [full truncated]" : "");
+                full_report.truncated ? "  [full truncated]" : "");
     char chart_label[16];
     std::snprintf(chart_label, sizeof(chart_label), "%.2f%%", fraction * 100.0);
     chart_labels.push_back(chart_label);

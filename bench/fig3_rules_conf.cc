@@ -7,7 +7,6 @@
 
 #include "bench/bench_util.h"
 #include "src/specmine/visualize.h"
-#include "src/rulemine/rule_miner.h"
 
 namespace specmine {
 namespace {
@@ -17,10 +16,12 @@ int Run() {
   std::printf(
       "=== Figure 3: recurrent rules, Full vs NR (min_s-sup fixed, "
       "min_i-sup=1) ===\n");
-  SequenceDatabase db = bench::MakeBenchDatabase();
+  const Engine engine =
+      bench::OrExit(Engine::Create(bench::MakeBenchDatabase()));
 
   const double s_sup_fraction = bench::PaperScale() ? 0.0040 : 0.050;
-  uint64_t min_s_sup = static_cast<uint64_t>(s_sup_fraction * db.size());
+  uint64_t min_s_sup =
+      static_cast<uint64_t>(s_sup_fraction * engine.num_sequences());
   if (min_s_sup == 0) min_s_sup = 1;
   std::printf("min_s-sup = %.3f%% (%llu sequences)\n", s_sup_fraction * 100.0,
               static_cast<unsigned long long>(min_s_sup));
@@ -35,22 +36,23 @@ int Run() {
   ChartSeries full_time_series{"Full", {}}, nr_time_series{"NR", {}};
   ChartSeries full_count_series{"Full", {}}, nr_count_series{"NR", {}};
   for (double conf : confidences) {
-    RuleMinerOptions full_options;
-    full_options.min_s_support = min_s_sup;
-    full_options.min_confidence = conf;
-    full_options.min_i_support = 1;
-    full_options.non_redundant = false;
-    full_options.max_rules = 5'000'000;
-    RuleMinerStats full_stats;
+    RulesTask full_task;
+    full_task.options.min_s_support = min_s_sup;
+    full_task.options.min_confidence = conf;
+    full_task.options.min_i_support = 1;
+    full_task.options.non_redundant = false;
+    full_task.options.max_rules = 5'000'000;
+    RunReport full_report;
     auto [full_time, full_count] = TimedCount([&] {
-      return MineRecurrentRules(db, full_options, &full_stats).size();
+      return bench::OrExit(engine.CollectRules(full_task, &full_report))
+          .size();
     });
 
-    RuleMinerOptions nr_options = full_options;
-    nr_options.non_redundant = true;
-    nr_options.max_rules = 0;
+    RulesTask nr_task = full_task;
+    nr_task.options.non_redundant = true;
+    nr_task.options.max_rules = 0;
     auto [nr_time, nr_count] = TimedCount(
-        [&] { return MineRecurrentRules(db, nr_options).size(); });
+        [&] { return bench::OrExit(engine.CollectRules(nr_task)).size(); });
 
     std::printf("%-9.0f%% %12.3f %12.3f %12zu %12zu %8.1fx %8.1fx%s\n",
                 conf * 100.0, full_time, nr_time, full_count, nr_count,
@@ -58,7 +60,7 @@ int Run() {
                 nr_count > 0 ? static_cast<double>(full_count) /
                                    static_cast<double>(nr_count)
                              : 0.0,
-                full_stats.truncated ? "  [full truncated]" : "");
+                full_report.truncated ? "  [full truncated]" : "");
     char chart_label[16];
     std::snprintf(chart_label, sizeof(chart_label), "%.0f%%", conf * 100.0);
     chart_labels.push_back(chart_label);

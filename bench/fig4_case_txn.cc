@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/itermine/closed_miner.h"
 #include "src/sim/test_suite.h"
 #include "src/support/stopwatch.h"
 
@@ -31,20 +30,22 @@ int Run() {
   suite.max_runs_per_trace = 2;
   suite.transaction.rollback_probability = 0.15;
   suite.transaction.noise_probability = 0.35;
-  SequenceDatabase db = sim::GenerateTransactionTraces(suite);
+  const Engine engine =
+      bench::OrExit(Engine::Create(sim::GenerateTransactionTraces(suite)));
+  const SequenceDatabase& db = engine.database();
   std::printf("traces: %zu, events: %zu, alphabet: %zu\n", db.size(),
               db.TotalEvents(), db.dictionary().size());
 
-  ClosedIterMinerOptions options;
+  ClosedTask task;
   // Commit runs are ~85% of transactions; 60% of traces is a safe floor.
-  options.min_support = static_cast<uint64_t>(0.6 * db.size());
+  task.options.min_support = static_cast<uint64_t>(0.6 * db.size());
   Stopwatch sw;
-  IterMinerStats stats;
-  PatternSet closed = MineClosedIterative(db, options, &stats);
+  RunReport report;
+  PatternSet closed = bench::OrExit(engine.CollectPatterns(task, &report));
   double elapsed = sw.ElapsedSeconds();
 
   std::printf("closed patterns: %zu (nodes %zu, %0.3fs)\n", closed.size(),
-              stats.nodes_visited, elapsed);
+              report.nodes_visited, elapsed);
   if (closed.empty()) return 1;
   const MinedPattern& longest = closed.Longest();
   std::printf("\nlongest pattern (%zu events, support %llu):\n",

@@ -8,7 +8,6 @@
 
 #include "bench/bench_util.h"
 #include "src/ltl/translate.h"
-#include "src/rulemine/rule_miner.h"
 #include "src/sim/test_suite.h"
 #include "src/support/stopwatch.h"
 
@@ -27,22 +26,24 @@ int Run() {
   suite.security.missing_entry_probability = 0.1;
   suite.security.direct_name_lookup_probability = 0.1;
   suite.security.noise_probability = 0.35;
-  SequenceDatabase db = sim::GenerateSecurityTraces(suite);
+  const Engine engine =
+      bench::OrExit(Engine::Create(sim::GenerateSecurityTraces(suite)));
+  const SequenceDatabase& db = engine.database();
   std::printf("traces: %zu, events: %zu, alphabet: %zu\n", db.size(),
               db.TotalEvents(), db.dictionary().size());
 
-  RuleMinerOptions options;
-  options.min_s_support = static_cast<uint64_t>(0.8 * db.size());
-  options.min_confidence = 0.80;
-  options.min_i_support = 1;
-  options.non_redundant = true;
+  RulesTask task;
+  task.options.min_s_support = static_cast<uint64_t>(0.8 * db.size());
+  task.options.min_confidence = 0.80;
+  task.options.min_i_support = 1;
+  task.options.non_redundant = true;
   Stopwatch sw;
-  RuleMinerStats stats;
-  RuleSet rules = MineRecurrentRules(db, options, &stats);
+  RunReport report;
+  RuleSet rules = bench::OrExit(engine.CollectRules(task, &report));
   double elapsed = sw.ElapsedSeconds();
   rules.SortByQuality();
   std::printf("non-redundant rules: %zu (premises %zu, %0.3fs)\n",
-              rules.size(), stats.premises_enumerated, elapsed);
+              rules.size(), report.premises_enumerated, elapsed);
   if (rules.empty()) return 1;
 
   // Select the rule the paper reports: the one whose premise is the JAAS

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/itermine/closed_miner.h"
-#include "src/rulemine/rule_miner.h"
 
 namespace specmine {
 namespace {
@@ -22,24 +20,26 @@ SequenceDatabase MakeDataset(double d_thousands, double c_len) {
   return db.TakeValueOrDie();
 }
 
-void Row(const SequenceDatabase& db, const char* label) {
-  ClosedIterMinerOptions pattern_options;
-  pattern_options.min_support =
-      static_cast<uint64_t>(0.03 * db.size()) + 1;
+void Row(SequenceDatabase db, const char* label) {
+  const Engine engine = bench::OrExit(Engine::Create(std::move(db)));
+  const size_t seqs = engine.num_sequences();
+  ClosedTask pattern_task;
+  pattern_task.options.min_support = static_cast<uint64_t>(0.03 * seqs) + 1;
   Stopwatch sw1;
-  size_t patterns = MineClosedIterative(db, pattern_options).size();
+  size_t patterns =
+      bench::OrExit(engine.CollectPatterns(pattern_task)).size();
   double t_patterns = sw1.ElapsedSeconds();
 
-  RuleMinerOptions rule_options;
-  rule_options.min_s_support = static_cast<uint64_t>(0.07 * db.size()) + 1;
-  rule_options.min_confidence = 0.7;
-  rule_options.non_redundant = true;
+  RulesTask rule_task;
+  rule_task.options.min_s_support = static_cast<uint64_t>(0.07 * seqs) + 1;
+  rule_task.options.min_confidence = 0.7;
+  rule_task.options.non_redundant = true;
   Stopwatch sw2;
-  size_t rules = MineRecurrentRules(db, rule_options).size();
+  size_t rules = bench::OrExit(engine.CollectRules(rule_task)).size();
   double t_rules = sw2.ElapsedSeconds();
 
-  std::printf("%-16s %8zu %10zu %12.3f %8zu %12.3f %8zu\n", label, db.size(),
-              db.TotalEvents(), t_patterns, patterns, t_rules, rules);
+  std::printf("%-16s %8zu %10zu %12.3f %8zu %12.3f %8zu\n", label, seqs,
+              engine.total_events(), t_patterns, patterns, t_rules, rules);
 }
 
 int Run() {
@@ -52,18 +52,16 @@ int Run() {
   // Sweep D (sequence count), C fixed.
   for (double d : paper ? std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}
                         : std::vector<double>{0.1, 0.2, 0.4, 0.8}) {
-    SequenceDatabase db = MakeDataset(d, 20.0);
     char label[32];
     std::snprintf(label, sizeof(label), "D=%g C=20", d);
-    Row(db, label);
+    Row(MakeDataset(d, 20.0), label);
   }
   // Sweep C (sequence length), D fixed.
   for (double c : paper ? std::vector<double>{10, 15, 20, 25, 30}
                         : std::vector<double>{10, 20, 30, 40}) {
-    SequenceDatabase db = MakeDataset(paper ? 2.0 : 0.2, c);
     char label[32];
     std::snprintf(label, sizeof(label), "D=%g C=%g", paper ? 2.0 : 0.2, c);
-    Row(db, label);
+    Row(MakeDataset(paper ? 2.0 : 0.2, c), label);
   }
   return 0;
 }

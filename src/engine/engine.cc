@@ -150,6 +150,16 @@ Result<Engine> Engine::FromShardSet(const std::string& path,
   return engine;
 }
 
+Status CheckSupportFraction(double fraction, std::string_view name) {
+  // AbsoluteSupport scales by the trace count: a count above 1 would mine
+  // at count x traces (and find nothing), 0 or a negative would silently
+  // mine at threshold 1, and a negative product is not a uint64_t.
+  if (fraction > 0.0 && fraction <= 1.0) return Status::OK();
+  return Status::InvalidArgument(std::string(name) +
+                                 " must be a fraction of the traces in "
+                                 "(0, 1]");
+}
+
 uint64_t Engine::AbsoluteSupport(double fraction) const {
   // num_sequences() reads manifest metadata on sharded sessions, so the
   // threshold never forces a merge (and never races materialization).

@@ -38,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/run_report.h"
@@ -55,6 +56,12 @@
 #include "src/trace/shard_set.h"
 
 namespace specmine {
+
+/// \brief OK iff \p fraction is a support threshold Engine::AbsoluteSupport
+/// can scale: a fraction of the traces in (0, 1]. Otherwise (NaN, 0,
+/// negatives, counts above 1) InvalidArgument naming \p name. The one check
+/// behind the CLI's --min-sup/--min-ssup and the server's min_sup/min_ssup.
+Status CheckSupportFraction(double fraction, std::string_view name);
 
 /// \brief A mining session over one immutable trace database.
 class Engine {
@@ -166,7 +173,9 @@ class Engine {
   }
 
   /// \brief Converts a fraction-of-sequences threshold to an absolute one
-  /// (at least 1) — the paper reports thresholds as fractions.
+  /// (at least 1) — the paper reports thresholds as fractions. Callers
+  /// taking the fraction from a user check it with CheckSupportFraction
+  /// first.
   uint64_t AbsoluteSupport(double fraction) const;
 
   // -------------------------------------------------------------------------

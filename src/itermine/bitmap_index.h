@@ -21,11 +21,11 @@
 #ifndef SPECMINE_ITERMINE_BITMAP_INDEX_H_
 #define SPECMINE_ITERMINE_BITMAP_INDEX_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "src/itermine/simd_kernels.h"
 #include "src/support/status.h"
 #include "src/trace/position_index.h"
 #include "src/trace/sequence_database.h"
@@ -196,25 +196,24 @@ class BitmapIndex {
 
   // -------------------------------------------------------------------------
   // The per-event query interface of the vertical projection template
-  // (vertical_projection_impl.h): same contracts as the statics above,
-  // routed through the runtime-dispatched kernel table, with the event id
-  // resolved to this index's physical row. HybridIndex implements the
-  // same five members over its sparse/dense split.
+  // (vertical_projection_impl.h): the statics above with the event id
+  // resolved to this index's physical row. HybridIndex implements the same
+  // members over its sparse/dense split.
 
   /// \brief First occurrence of \p ev in global bits [from, limit), or
   /// kNoBit; ev must be < num_events().
   size_t FirstOfEventAtOrAfter(EventId ev, size_t from, size_t limit) const {
-    return Kernels().first_set(row(ev), from, limit);
+    return FirstSetAtOrAfter(row(ev), from, limit);
   }
 
   /// \brief True iff \p ev occurs in global bits [from, limit).
   bool AnyOfEventInRange(EventId ev, size_t from, size_t limit) const {
-    return Kernels().any_range(row(ev), from, limit);
+    return AnyInRange(row(ev), from, limit);
   }
 
   /// \brief Occurrences of \p ev in global bits [from, limit).
   size_t CountOfEventInRange(EventId ev, size_t from, size_t limit) const {
-    return Kernels().count_range(row(ev), from, limit);
+    return CountInRange(row(ev), from, limit);
   }
 
   /// \brief ORs the \p alphabet events' occurrence rows into *union_words
@@ -229,16 +228,9 @@ class BitmapIndex {
     const size_t wb = base >> 6;
     const size_t we = ((limit - 1) >> 6) + 1;
     uint64_t* out = union_words->data();
-    // The kernel takes a row-pointer array; patterns are short, so a
-    // fixed stack chunk covers every real alphabet, with a scalar
-    // OR-accumulate tail for pathological ones.
-    constexpr size_t kChunk = 16;
-    const uint64_t* rows[kChunk];
-    const size_t n = alphabet.size() < kChunk ? alphabet.size() : kChunk;
-    for (size_t i = 0; i < n; ++i) rows[i] = row(alphabet[i]);
-    Kernels().union_rows(rows, n, wb, we, out);
-    for (size_t i = kChunk; i < alphabet.size(); ++i) {
-      const uint64_t* r = row(alphabet[i]);
+    std::fill(out + wb, out + we, uint64_t{0});
+    for (EventId ev : alphabet) {
+      const uint64_t* r = row(ev);
       for (size_t w = wb; w < we; ++w) out[w] |= r[w];
     }
   }

@@ -1,9 +1,7 @@
 // The bitmap (dense-row) instantiations of the vertical projection
 // template. The bodies — shared with the hybrid sparse/dense format —
-// live in vertical_projection_impl.h; the word primitives they bottom out
-// in go through the runtime-dispatched kernel table (simd_kernels.h), so
-// these arms run AVX2 when the host supports it and the always-built
-// scalar fallback otherwise, with byte-identical results either way.
+// live in vertical_projection_impl.h and bottom out in the BitmapIndex
+// word primitives.
 
 #include "src/itermine/bitmap_projection.h"
 

@@ -72,29 +72,12 @@ void HybridIndex::BuildUnionForRange(const std::vector<EventId>& alphabet,
   const size_t wb = base >> 6;
   const size_t we = ((limit - 1) >> 6) + 1;
   uint64_t* out = union_words->data();
-  // Dense alphabet rows through the union kernel (overwrites the range —
-  // n == 0 zeroes it, which is what the sparse scatter below needs).
-  constexpr size_t kChunk = 16;
-  const uint64_t* rows[kChunk];
-  size_t n = 0;
+  std::fill(out + wb, out + we, uint64_t{0});
   for (EventId ev : alphabet) {
     const uint32_t r = row_index_[ev];
     if (r == kNoRow) continue;
-    if (n < kChunk) {
-      rows[n++] = dense_row(r);
-    }
-  }
-  Kernels().union_rows(rows, n, wb, we, out);
-  if (n == kChunk) {
-    // Pathological alphabets beyond the stack chunk: scalar OR tail.
-    size_t seen = 0;
-    for (EventId ev : alphabet) {
-      const uint32_t r = row_index_[ev];
-      if (r == kNoRow) continue;
-      if (seen++ < kChunk) continue;
-      const uint64_t* row = dense_row(r);
-      for (size_t w = wb; w < we; ++w) out[w] |= row[w];
-    }
+    const uint64_t* row = dense_row(r);
+    for (size_t w = wb; w < we; ++w) out[w] |= row[w];
   }
   // Rare alphabet events: scatter their in-range positions as bits.
   for (EventId ev : alphabet) {

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/itermine/bitmap_index.h"
-#include "src/itermine/simd_kernels.h"
 #include "src/trace/sequence_database.h"
 
 namespace specmine {
@@ -96,7 +95,9 @@ class HybridIndex {
   /// kNoBit; ev must be < num_events().
   size_t FirstOfEventAtOrAfter(EventId ev, size_t from, size_t limit) const {
     const uint32_t r = row_index_[ev];
-    if (r != kNoRow) return Kernels().first_set(dense_row(r), from, limit);
+    if (r != kNoRow) {
+      return BitmapIndex::FirstSetAtOrAfter(dense_row(r), from, limit);
+    }
     if (from >= limit) return kNoBit;
     const uint32_t* begin = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
@@ -108,7 +109,9 @@ class HybridIndex {
   /// \brief True iff \p ev occurs in global bits [from, limit).
   bool AnyOfEventInRange(EventId ev, size_t from, size_t limit) const {
     const uint32_t r = row_index_[ev];
-    if (r != kNoRow) return Kernels().any_range(dense_row(r), from, limit);
+    if (r != kNoRow) {
+      return BitmapIndex::AnyInRange(dense_row(r), from, limit);
+    }
     if (from >= limit) return false;
     const uint32_t* begin = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
@@ -120,7 +123,9 @@ class HybridIndex {
   /// \brief Occurrences of \p ev in global bits [from, limit).
   size_t CountOfEventInRange(EventId ev, size_t from, size_t limit) const {
     const uint32_t r = row_index_[ev];
-    if (r != kNoRow) return Kernels().count_range(dense_row(r), from, limit);
+    if (r != kNoRow) {
+      return BitmapIndex::CountInRange(dense_row(r), from, limit);
+    }
     if (from >= limit) return 0;
     const uint32_t* begin = positions_.data() + sparse_offsets_[ev];
     const uint32_t* end = positions_.data() + sparse_offsets_[ev + 1];
@@ -139,9 +144,9 @@ class HybridIndex {
   }
 
   /// \brief Union row over [base, limit): dense alphabet rows are OR-ed
-  /// word-wise (SIMD when dispatched), rare alphabet events scatter their
-  /// few in-range positions as individual bits. Same contract as the
-  /// BitmapIndex member: only the covering word range is written.
+  /// word-wise, rare alphabet events scatter their few in-range positions
+  /// as individual bits. Same contract as the BitmapIndex member: only the
+  /// covering word range is written.
   void BuildUnionForRange(const std::vector<EventId>& alphabet, size_t base,
                           size_t limit,
                           std::vector<uint64_t>* union_words) const;

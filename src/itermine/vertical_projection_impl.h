@@ -19,8 +19,7 @@
 // with the global-bit conventions of bitmap_index.h (bit g = arena
 // position g, ranges half-open, kNoBit = none). Union rows are always
 // word-packed — rare hybrid events are scattered into the union as bits —
-// so the union-row scans go through the runtime-dispatched kernel table
-// (simd_kernels.h) directly.
+// so the union-row scans call the BitmapIndex word primitives directly.
 //
 // Callers outside bitmap_projection.cc / hybrid_index.cc should use the
 // CountingBackend dispatch layer, not this header.
@@ -33,7 +32,6 @@
 
 #include "src/itermine/bitmap_projection.h"
 #include "src/itermine/projection.h"
-#include "src/itermine/simd_kernels.h"
 
 namespace specmine {
 namespace internal {
@@ -41,9 +39,9 @@ namespace internal {
 // Whether an instance list spanning `distinct_seqs` sequences should build
 // the alphabet union row once over the whole arena instead of once per
 // sequence. Per-sequence builds are dominated by call-and-mask overhead on
-// short ranges (~16 word-ops each), while the single long build is exactly
-// the row shape the union kernel vectorizes; union_rows overwrites its
-// range, so both strategies leave identical bits in every probed range.
+// short ranges (~16 word-ops each), while the single long build is one
+// straight OR loop; BuildUnionForRange overwrites its range, so both
+// strategies leave identical bits in every probed range.
 inline bool UseWholeRowUnion(size_t distinct_seqs, size_t total_words) {
   return distinct_seqs * 16 >= total_words;
 }
@@ -79,7 +77,7 @@ inline void DistinctAlphabet(const Pattern& pattern, size_t num_events,
 // Marks every event occurring strictly inside the instance span (the
 // gaps) into *gap_events (cleared first) with one sequential arena walk.
 // Gap-freedom per candidate then costs one O(1) membership test instead
-// of a per-candidate row probe — the probes were ~5 single-word kernel
+// of a per-candidate row probe — the probes were ~5 single-word primitive
 // calls per instance, pure call-and-mask overhead. `base` is the global
 // bit offset of the instance's sequence.
 inline void MarkGapEvents(const EventId* arena, size_t num_events,
@@ -118,7 +116,6 @@ void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
                                ForwardExtensionMap* out,
                                uint64_t min_support) {
   BitmapProjectionScratch& sc = ws->bitmap;
-  const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
   const EventId* arena = db.arena();
@@ -155,7 +152,8 @@ void ForwardExtensionsVertical(const Index& index, const Pattern& pattern,
     // First alphabet(P) event after the instance: bounds the candidate
     // window — everything before it is out-of-alphabet by construction —
     // and is itself the unique alphabet extension endpoint.
-    const size_t stop = kern.first_set(sc.union_words.data(), from, limit);
+    const size_t stop =
+        BitmapIndex::FirstSetAtOrAfter(sc.union_words.data(), from, limit);
     const size_t window_end = stop == kNoBit ? limit : stop;
     ws->seen.Clear();
     for (size_t g = from; g < window_end; ++g) {
@@ -217,7 +215,6 @@ const BackwardExtensionMap& BackwardExtensionsVertical(
     const Index& index, const Pattern& pattern, const InstanceList& instances,
     ProjectionWorkspace* ws, uint64_t min_support) {
   BitmapProjectionScratch& sc = ws->bitmap;
-  const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   const SequenceDatabase& db = index.db();
   const EventId* arena = db.arena();
@@ -251,7 +248,8 @@ const BackwardExtensionMap& BackwardExtensionsVertical(
     const size_t gstart = base + inst.start;
     // Last alphabet(P) event before the instance start bounds the window;
     // it is itself the unique alphabet backward extension.
-    const size_t stop = kern.last_set(sc.union_words.data(), base, gstart);
+    const size_t stop =
+        BitmapIndex::LastSetBefore(sc.union_words.data(), base, gstart);
     const size_t window_begin = stop == kNoBit ? base : stop + 1;
     ws->seen.Clear();
     for (size_t g = gstart; g-- > window_begin;) {
@@ -278,7 +276,6 @@ uint64_t CountInstancesVertical(const Index& index, const Pattern& pattern,
   if (pattern.empty()) return 0;
   QreRecountScratch local;
   if (scratch == nullptr) scratch = &local;
-  const SimdKernels& kern = Kernels();
   const size_t num_events = index.num_events();
   if (pattern[0] >= num_events) return 0;  // First event never occurs.
   DistinctAlphabet(pattern, num_events, &scratch->alphabet);
@@ -301,7 +298,8 @@ uint64_t CountInstancesVertical(const Index& index, const Pattern& pattern,
       size_t cur = g;
       bool ok = true;
       for (size_t k = 1; k < pattern.size(); ++k) {
-        const size_t a = kern.first_set(union_row, cur + 1, limit);
+        const size_t a =
+            BitmapIndex::FirstSetAtOrAfter(union_row, cur + 1, limit);
         if (a == kNoBit || arena[a] != pattern[k]) {
           ok = false;
           break;

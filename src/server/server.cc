@@ -94,19 +94,12 @@ Status DecodeCommon(const JsonValue& body, MineCommon* out) {
 }
 
 // Reads a support threshold field: a fraction of the corpus's traces in
-// (0, 1]. Engine::AbsoluteSupport scales every value by the trace count,
-// so a count above 1 would mine at count x traces (and find nothing),
-// and 0 would silently mine at threshold 1 (unbounded); both are refused.
+// (0, 1] (CheckSupportFraction).
 Status GetSupportFraction(const JsonValue& body, std::string_view key,
                           double* out) {
   Status status = body.GetDouble(key, out);
   if (!status.ok()) return status;
-  if (!(*out > 0.0 && *out <= 1.0)) {
-    return Status::InvalidArgument("field '" + std::string(key) +
-                                   "' must be a fraction of the traces in "
-                                   "(0, 1]");
-  }
-  return Status::OK();
+  return CheckSupportFraction(*out, "field '" + std::string(key) + "'");
 }
 
 // Arms \p token's deadline when the request carried a timeout, mirroring

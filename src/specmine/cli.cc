@@ -1,6 +1,7 @@
 #include "src/specmine/cli.h"
 
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -90,9 +91,11 @@ matching route (see docs/server.md).
 
 All miners run through the specmine::Engine session API; invalid options
 and malformed trace files are reported as errors (non-zero exit), never
-mined around. Exit codes: 0 success, 2 usage, 3 invalid argument,
-4 parse error / corruption, 5 I/O error, 6 cancelled or deadline
-exceeded, 1 anything else.
+mined around (--min-sup / --min-ssup are fractions of the traces in
+(0, 1]; anything else, unparseable values included, is exit 3). Exit
+codes: 0 success, 2 usage, 3 invalid argument, 4 parse error /
+corruption, 5 I/O error, 6 cancelled or deadline exceeded, 1 anything
+else.
 
 --backend selects the physical counting representation: csr (horizontal
 position lists), bitmap (vertical word-packed occurrence rows), hybrid
@@ -100,10 +103,7 @@ position lists), bitmap (vertical word-packed occurrence rows), hybrid
 (default; per-database density heuristic — on a sharded corpus auto
 mines through the lazy merged backend over the per-shard indexes, never
 materializing the merged arena). Outputs are byte-identical across
-backends. The word-wise backends run through SIMD kernels resolved once
-at startup (AVX2 when the host supports it; set SPECMINE_FORCE_SCALAR=1
-to pin the scalar fallback — the timing line reports the level in
-effect). Accepted by every mine-* command; mine-seq, mine-episodes and
+backends. Accepted by every mine-* command; mine-seq, mine-episodes and
 mine-pairs use no counting index, so there it only validates.
 )";
 
@@ -209,6 +209,24 @@ const CancelToken* ArmTimeout(const Args& args, CancelToken* token) {
   return token;
 }
 
+// Reads a support-fraction flag (--min-sup / --min-ssup; \p def when
+// absent) through the server's (0, 1] check. Unlike the other numeric
+// flags, an unparseable value is an error, not a fallback to the default.
+Status GetSupportFlag(const Args& args, const std::string& name, double def,
+                      double* out) {
+  *out = def;
+  if (!args.Has(name)) return Status::OK();
+  const std::string flag = "--" + name;
+  const std::string value = args.Get(name, "");
+  char* end = nullptr;
+  *out = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size()) {
+    return Status::InvalidArgument(flag + " must be a number (got '" +
+                                   value + "')");
+  }
+  return CheckSupportFraction(*out, flag);
+}
+
 // Parses --integrity into \p out; false (with a message) on a bad value.
 bool ParseIntegrityFlag(const Args& args, std::ostream& err,
                         IntegrityMode* out) {
@@ -306,7 +324,6 @@ int CmdStats(const Args& args, std::ostream& out, std::ostream& err) {
   out << ComputeStats(db).ToString() << '\n';
   const BackendKind chosen = ChooseBackendKind(db);
   out << "auto backend: " << BackendKindName(chosen) << '\n';
-  out << "simd dispatch: " << SimdDispatchLevel() << '\n';
   if (chosen == BackendKind::kHybrid) {
     // Show the sparse/dense split the hybrid layout would use — the
     // knob --backend=hybrid tuning starts from (docs/user_guide.md).
@@ -423,10 +440,13 @@ int CmdMinePatterns(const Args& args, std::ostream& out, std::ostream& err) {
     err << "mine-patterns: missing trace file\n";
     return 2;
   }
+  double min_sup = 0;
+  if (Status s = GetSupportFlag(args, "min-sup", 0.5, &min_sup); !s.ok()) {
+    return Fail(err, s);
+  }
   Result<Engine> engine = LoadEngine(args, args.positional()[0], err);
   if (!engine.ok()) return Fail(err, engine.status());
-  const uint64_t min_support =
-      engine->AbsoluteSupport(args.GetDouble("min-sup", 0.5));
+  const uint64_t min_support = engine->AbsoluteSupport(min_sup);
   BackendChoice backend = BackendChoice::kAuto;
   if (!ParseBackendFlag(args, err, &backend)) return kExitInvalidArgument;
   CancelToken timeout;
@@ -478,7 +498,7 @@ int CmdMinePatterns(const Args& args, std::ostream& out, std::ostream& err) {
   }
   out << patterns.size() << " patterns\n";
   out << "timing: backend " << (report.backend.empty() ? "-" : report.backend)
-      << ", simd " << SimdDispatchLevel() << ", index build "
+      << ", index build "
       << report.index_build_seconds << " s, mine " << report.mine_seconds
       << " s\n";
   out << patterns.ToString(engine->dictionary());
@@ -490,14 +510,17 @@ int CmdMineRules(const Args& args, std::ostream& out, std::ostream& err) {
     err << "mine-rules: missing trace file\n";
     return 2;
   }
+  double min_ssup = 0;
+  if (Status s = GetSupportFlag(args, "min-ssup", 0.5, &min_ssup); !s.ok()) {
+    return Fail(err, s);
+  }
   Result<Engine> loaded = LoadEngine(args, args.positional()[0], err);
   if (!loaded.ok()) return Fail(err, loaded.status());
   const Engine& engine = *loaded;
   const SequenceDatabase& db = engine.database();
 
   RulesTask task;
-  task.options.min_s_support =
-      engine.AbsoluteSupport(args.GetDouble("min-ssup", 0.5));
+  task.options.min_s_support = engine.AbsoluteSupport(min_ssup);
   task.options.min_confidence = args.GetDouble("min-conf", 0.9);
   task.options.min_i_support = args.GetUint("min-isup", 1);
   task.options.non_redundant = !args.Has("full");
@@ -547,10 +570,13 @@ int CmdMineSeq(const Args& args, std::ostream& out, std::ostream& err) {
     err << "mine-seq: missing trace file\n";
     return 2;
   }
+  double min_sup = 0;
+  if (Status s = GetSupportFlag(args, "min-sup", 0.5, &min_sup); !s.ok()) {
+    return Fail(err, s);
+  }
   Result<Engine> engine = LoadEngine(args, args.positional()[0], err);
   if (!engine.ok()) return Fail(err, engine.status());
-  const uint64_t min_support =
-      engine->AbsoluteSupport(args.GetDouble("min-sup", 0.5));
+  const uint64_t min_support = engine->AbsoluteSupport(min_sup);
   const size_t max_length = args.GetUint("max-len", 0);
   BackendChoice backend = BackendChoice::kAuto;
   if (!ParseBackendFlag(args, err, &backend)) return kExitInvalidArgument;

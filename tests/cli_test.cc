@@ -358,6 +358,22 @@ TEST_F(CliTest, BadIntegrityFlagIsAnInvalidArgument) {
   EXPECT_NE(err_.str().find("--integrity"), std::string::npos);
 }
 
+TEST_F(CliTest, SupportFlagsOutsideTheUnitIntervalAreInvalidArguments) {
+  for (const char* cmd : {"mine-patterns", "mine-seq", "mine-rules"}) {
+    const std::string flag =
+        std::string(cmd) == "mine-rules" ? "--min-ssup" : "--min-sup";
+    for (const char* bad : {"-0.5", "0", "2", "nan", "abc"}) {
+      EXPECT_EQ(Run({cmd, path_, flag, bad}), 3) << cmd << " " << bad;
+      EXPECT_NE(err_.str().find(flag), std::string::npos)
+          << cmd << " " << bad << ": " << err_.str();
+      EXPECT_EQ(out_.str(), "") << cmd << " " << bad;
+    }
+    for (const char* good : {"1", "0.5"}) {
+      EXPECT_EQ(Run({cmd, path_, flag, good}), 0) << cmd << " " << good;
+    }
+  }
+}
+
 TEST_F(CliTest, ExpiredTimeoutCancelsMiningWithExitSix) {
   // A zero budget has already passed when mining starts, so the run stops
   // at the first cancellation point — deterministic, corpus-independent.

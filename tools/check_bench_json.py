@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Validates BENCH_core.json: schema plus the backend benchmark entries.
 
+Every row is {"name": str, "value": positive number, "unit": "ns" | "kB"}:
+ns per operation for the timed rows, kB for the peak-RSS probes.
+
 CI's perf-smoke step runs this after bench_micro_core so a refactor that
 drops a benchmark, emits malformed JSON, or stops exercising one of the
 counting backends fails fast. Timings themselves are NOT asserted (CI
@@ -12,6 +15,8 @@ Usage: check_bench_json.py <path-to-BENCH_core.json>
 
 import json
 import sys
+
+UNITS = ("ns", "kB")
 
 # Benchmarks that must be present: the shared hot paths plus both counting
 # backends (the backend-drift tripwire).
@@ -30,8 +35,6 @@ REQUIRED = [
     "SparseForwardExtensionsCsr",
     "SparseForwardExtensionsBitmap",
     "HybridSparseForwardExtensions",
-    "SimdForwardExtensions",
-    "SimdForwardExtensionsReuse",
     "LazyMergedQueryForwardExtensions",
     "LazyMergedQueryCountInstances",
     "EagerMergePeakRssKb",
@@ -66,18 +69,23 @@ def main() -> int:
             print(f"{path}: benchmarks[{i}] is not an object", file=sys.stderr)
             return 1
         name = entry.get("name")
-        ns = entry.get("ns_per_op")
+        value = entry.get("value")
+        unit = entry.get("unit")
         if not isinstance(name, str) or not name:
             print(f"{path}: benchmarks[{i}] has no name", file=sys.stderr)
             return 1
-        if not isinstance(ns, (int, float)) or ns <= 0:
-            print(f"{path}: {name}: ns_per_op must be positive, got {ns!r}",
+        if not isinstance(value, (int, float)) or value <= 0:
+            print(f"{path}: {name}: value must be positive, got {value!r}",
                   file=sys.stderr)
+            return 1
+        if unit not in UNITS:
+            print(f"{path}: {name}: unit must be one of {UNITS}, got "
+                  f"{unit!r}", file=sys.stderr)
             return 1
         if name in seen:
             print(f"{path}: duplicate benchmark name {name}", file=sys.stderr)
             return 1
-        seen[name] = ns
+        seen[name] = value
 
     missing = [name for name in REQUIRED if name not in seen]
     if missing:
