@@ -52,6 +52,16 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
     }
   }
 
+  // P3 runs before the forward projection: with infix_prune on, an
+  // infix-absorbed node is pruned whatever its forward extensions are, so
+  // projecting them first would be wasted work.
+  const bool has_infix = pattern.size() >= 2;
+  if (has_infix && ctx->options->infix_prune &&
+      HasUniformInfixAbsorber(*ctx->backend, pattern, instances, ctx->ws)) {
+    ++ctx->stats->subtrees_pruned;
+    return;  // P3: the subtree contains no closed pattern.
+  }
+
   // Every entry the closed miner reads is either a frequent child or a
   // forward absorber (support == sup(P) >= min_support), so the query may
   // drop everything below min_support.
@@ -66,20 +76,12 @@ void Grow(Ctx* ctx, const Pattern& pattern, const InstanceList& instances) {
     }
   }
 
-  bool infix_absorbed = false;
-  if (pattern.size() >= 2 &&
-      (ctx->options->infix_prune ||
-       (ctx->options->infix_check && !backward_absorbed &&
-        !forward_absorbed))) {
-    infix_absorbed =
-        HasUniformInfixAbsorber(*ctx->backend, pattern, instances, ctx->ws);
-    if (infix_absorbed && ctx->options->infix_prune) {
-      ++ctx->stats->subtrees_pruned;
-      ctx->ws->ReleaseMap(std::move(forward));
-      return;  // P3: the subtree contains no closed pattern.
-    }
-    if (!ctx->options->infix_check) infix_absorbed = false;
-  }
+  // The infix check alone (no P3) only decides emission, so it runs only
+  // when neither side already absorbs the pattern.
+  const bool infix_absorbed =
+      has_infix && !ctx->options->infix_prune && ctx->options->infix_check &&
+      !backward_absorbed && !forward_absorbed &&
+      HasUniformInfixAbsorber(*ctx->backend, pattern, instances, ctx->ws);
 
   if (!backward_absorbed && !forward_absorbed && !infix_absorbed) {
     ctx->out->Add(pattern, support);

@@ -222,71 +222,4 @@ size_t CountOccurrencesMerged(const MergedCountingIndex& index,
   return count;
 }
 
-bool HasUniformInfixAbsorberMerged(const MergedCountingIndex& index,
-                                   const Pattern& pattern,
-                                   const InstanceList& instances,
-                                   ProjectionWorkspace* ws) {
-  assert(pattern.size() >= 2);
-  if (instances.empty()) return false;
-  // Same profile-intersection algorithm as the db-level
-  // HasUniformInfixAbsorber (projection.cc), with each instance's span
-  // read from its shard's local arena and every event translated to
-  // merged ids on the fly — profiles and the alphabet marks live in
-  // merged event space, so the cross-shard intersection is exact.
-  const size_t num_events = index.num_events();
-  ws->alphabet.EnsureSize(num_events);
-  ws->alphabet.Clear();
-  for (EventId ev : pattern) ws->alphabet.Set(ev);
-  const size_t num_gaps = pattern.size() - 1;
-
-  auto& common = ws->common;
-  bool result = false;
-  for (size_t i = 0; i < instances.size(); ++i) {
-    const IterInstance& inst = instances[i];
-    const size_t shard = index.ShardOfSequence(inst.seq);
-    const SequenceDatabase& sdb = index.shard_backend(shard).db();
-    const std::vector<EventId>& remap = index.shard_set().remap(shard);
-    const EventSpan seq = sdb[inst.seq - index.seq_base(shard)];
-    ws->profiles.Reset(num_events);
-    size_t gap = 0;  // Index of the gap we are currently inside.
-    for (Pos p = inst.start + 1; p <= inst.end; ++p) {
-      const EventId local_ev = seq[p];
-      if (local_ev >= remap.size()) continue;  // Defensive.
-      const EventId ev = remap[local_ev];
-      if (ev >= num_events) continue;  // Defensive.
-      if (ws->alphabet.Test(ev)) {
-        // By the QRE this must be the next pattern event.
-        ++gap;
-        continue;
-      }
-      auto& profile = ws->profiles.Bucket(ev);
-      if (profile.empty()) profile.assign(num_gaps, 0);
-      ++profile[gap];
-    }
-    if (i == 0) {
-      ws->profiles.Drain(&common);
-    } else {
-      // Keep only events whose profile matches exactly.
-      auto& entries = common.entries();
-      size_t kept = 0;
-      for (auto& entry : entries) {
-        const auto* current = ws->profiles.FindTouched(entry.first);
-        if (current != nullptr && *current == entry.second) {
-          if (kept != static_cast<size_t>(&entry - entries.data())) {
-            entries[kept] = std::move(entry);
-          }
-          ++kept;
-        } else {
-          ws->profiles.Recycle(std::move(entry.second));
-        }
-      }
-      entries.resize(kept);
-    }
-    if (common.empty()) break;
-  }
-  result = !common.empty();
-  ws->profiles.Recycle(std::move(common));
-  return result;
-}
-
 }  // namespace specmine

@@ -150,13 +150,6 @@ uint64_t CountInstancesMerged(const MergedCountingIndex& index,
 size_t CountOccurrencesMerged(const MergedCountingIndex& index,
                               const Pattern& pattern);
 
-/// \brief Merged arm of HasUniformInfixAbsorber: the per-gap profile
-/// intersection over shard-local arenas, keyed by merged event ids.
-bool HasUniformInfixAbsorberMerged(const MergedCountingIndex& index,
-                                   const Pattern& pattern,
-                                   const InstanceList& instances,
-                                   ProjectionWorkspace* ws);
-
 }  // namespace specmine
 
 #endif  // SPECMINE_ITERMINE_MERGED_INDEX_H_

@@ -104,6 +104,7 @@ const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
   const size_t num_events = index.num_events();
   PrepareAlphabet(pattern, num_events, ws);
   ws->back.Reset(num_events);
+  internal::BackwardReach reach(instances.size(), min_support);
   for (const IterInstance& inst : instances) {
     const EventSpan seq = db[inst.seq];
     ws->seen.Clear();
@@ -112,49 +113,64 @@ const BackwardExtensionMap& BackwardExtensions(const PositionIndex& index,
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
       bool adjacent = (p + 1 == inst.start);
       if (ws->alphabet.Test(ev)) {
-        BackwardExtension& ext = ws->back.Slot(ev);
-        ++ext.support;
-        ext.all_adjacent = ext.all_adjacent && adjacent;
+        reach.Count(&ws->back.Slot(ev), adjacent);
         break;
       }
       if (!ws->seen.TestAndSet(ev)) continue;
       if (OccursInGaps(index, ev, inst)) continue;
-      BackwardExtension& ext = ws->back.Slot(ev);
-      ++ext.support;
-      ext.all_adjacent = ext.all_adjacent && adjacent;
+      reach.Count(&ws->back.Slot(ev), adjacent);
     }
+    if (reach.EndInstance()) break;
   }
   return ws->DrainBackward(min_support);
 }
 
-bool HasUniformInfixAbsorber(const SequenceDatabase& db,
-                             const Pattern& pattern,
-                             const InstanceList& instances,
-                             ProjectionWorkspace* ws) {
+namespace {
+
+// One instance's events for the infix-absorber check: its sequence and,
+// for a shard-local arena, the local -> merged id table (null when the ids
+// are already the caller's).
+struct InfixSpan {
+  EventSpan seq;
+  const std::vector<EventId>* remap = nullptr;
+};
+
+// The one body of the db-level and merged HasUniformInfixAbsorber;
+// `open(inst)` yields each instance's InfixSpan.
+template <typename OpenSpan>
+bool UniformInfixAbsorberBody(const Pattern& pattern,
+                              const InstanceList& instances,
+                              size_t num_events, ProjectionWorkspace* ws,
+                              OpenSpan open) {
   assert(pattern.size() >= 2);
   if (instances.empty()) return false;
-  const size_t num_events = db.dictionary().size();
   PrepareAlphabet(pattern, num_events, ws);
   const size_t num_gaps = pattern.size() - 1;
 
   // Profile of the first instance; then intersect with each later one.
   // A profile is the per-gap occurrence count vector of one out-of-alphabet
-  // event inside the instance span.
+  // event inside the instance span. After the first instance only the
+  // surviving candidates (marked in ws->seen) are profiled: no other event
+  // can be in the intersection.
   auto& common = ws->common;
-  bool result = false;
   for (size_t i = 0; i < instances.size(); ++i) {
     const IterInstance& inst = instances[i];
-    const EventSpan seq = db[inst.seq];
+    const InfixSpan span = open(inst);
     ws->profiles.Reset(num_events);
     size_t gap = 0;  // Index of the gap we are currently inside.
     for (Pos p = inst.start + 1; p <= inst.end; ++p) {
-      EventId ev = seq[p];
+      EventId ev = span.seq[p];
+      if (span.remap != nullptr) {
+        if (ev >= span.remap->size()) continue;  // Defensive.
+        ev = (*span.remap)[ev];
+      }
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
       if (ws->alphabet.Test(ev)) {
         // By the QRE this must be the next pattern event.
         ++gap;
         continue;
       }
+      if (i != 0 && !ws->seen.Test(ev)) continue;
       auto& profile = ws->profiles.Bucket(ev);
       if (profile.empty()) profile.assign(num_gaps, 0);
       ++profile[gap];
@@ -179,10 +195,25 @@ bool HasUniformInfixAbsorber(const SequenceDatabase& db,
       entries.resize(kept);
     }
     if (common.empty()) break;
+    ws->seen.Clear();
+    for (const auto& entry : common) ws->seen.Set(entry.first);
   }
-  result = !common.empty();
+  const bool result = !common.empty();
   ws->profiles.Recycle(std::move(common));
   return result;
+}
+
+}  // namespace
+
+bool HasUniformInfixAbsorber(const SequenceDatabase& db,
+                             const Pattern& pattern,
+                             const InstanceList& instances,
+                             ProjectionWorkspace* ws) {
+  return UniformInfixAbsorberBody(pattern, instances,
+                                  db.dictionary().size(), ws,
+                                  [&db](const IterInstance& inst) {
+                                    return InfixSpan{db[inst.seq], nullptr};
+                                  });
 }
 
 // ---------------------------------------------------------------------------
@@ -261,8 +292,19 @@ bool HasUniformInfixAbsorber(const CountingBackend& backend,
                              const InstanceList& instances,
                              ProjectionWorkspace* ws) {
   if (backend.kind() == BackendKind::kMerged) {
-    return HasUniformInfixAbsorberMerged(backend.merged(), pattern, instances,
-                                         ws);
+    // Each instance's span is read from its shard's local arena and every
+    // event translated to merged ids on the fly: profiles and the alphabet
+    // marks live in merged event space, so the cross-shard intersection is
+    // exact, and no merged database is ever built.
+    const MergedCountingIndex& index = backend.merged();
+    return UniformInfixAbsorberBody(
+        pattern, instances, index.num_events(), ws,
+        [&index](const IterInstance& inst) {
+          const size_t shard = index.ShardOfSequence(inst.seq);
+          const SequenceDatabase& sdb = index.shard_backend(shard).db();
+          return InfixSpan{sdb[inst.seq - index.seq_base(shard)],
+                           &index.shard_set().remap(shard)};
+        });
   }
   return HasUniformInfixAbsorber(backend.db(), pattern, instances, ws);
 }

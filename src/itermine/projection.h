@@ -38,6 +38,15 @@
 // scan scales with the extensions the caller can use, not with every
 // event seen after the instances. At 0 (the default) the full map is
 // returned.
+//
+// Early stop (backward, CSR and vertical arms): an instance raises an
+// event's backward support by at most 1, so the scan ends as soon as the
+// best support so far plus the instances not yet scanned is below
+// min_support; the result is then empty, as the full scan's would be. At
+// the closed miner's equal support (min_support == instances.size()) the
+// scan ends at the first instance before which no event has appeared in
+// every instance so far. The merged arm sums shard maps before it
+// thresholds, so it scans everything.
 
 #ifndef SPECMINE_ITERMINE_PROJECTION_H_
 #define SPECMINE_ITERMINE_PROJECTION_H_

@@ -90,6 +90,38 @@ inline void MarkGapEvents(const EventId* arena, size_t num_events,
   }
 }
 
+// The backward queries' early stop. Each instance raises an event's
+// support by at most 1 (a window holds one alphabet event and first
+// occurrences only), so once the best support so far plus the instances
+// still to scan is below min_support, no entry can survive the drain and
+// the scan may end: the result is the same empty map. For the closed
+// miner's equal-support query (min_support == instances.size()) this is
+// "no event has appeared before every instance so far".
+class BackwardReach {
+ public:
+  BackwardReach(size_t num_instances, uint64_t min_support)
+      : remaining_(num_instances), min_support_(min_support) {}
+
+  /// \brief Counts one occurrence of an extension in the current instance.
+  void Count(BackwardExtension* ext, bool adjacent) {
+    ++ext->support;
+    ext->all_adjacent = ext->all_adjacent && adjacent;
+    best_ = std::max(best_, ext->support);
+  }
+
+  /// \brief Closes the current instance; true iff no event can still
+  /// reach min_support.
+  bool EndInstance() {
+    --remaining_;
+    return best_ + remaining_ < min_support_;
+  }
+
+ private:
+  uint64_t remaining_;
+  uint64_t min_support_;
+  uint64_t best_ = 0;
+};
+
 template <typename Index>
 InstanceList SingleEventInstancesVertical(const Index& index, EventId ev) {
   InstanceList out;
@@ -231,6 +263,7 @@ const BackwardExtensionMap& BackwardExtensionsVertical(
   if (whole_row) {
     index.BuildUnionForRange(sc.alphabet, 0, total_bits, &sc.union_words);
   }
+  BackwardReach reach(instances.size(), min_support);
   SeqId prepared = ~SeqId{0};
   size_t base = 0, limit = 0;
   for (const IterInstance& inst : instances) {
@@ -257,15 +290,12 @@ const BackwardExtensionMap& BackwardExtensionsVertical(
       if (ev >= num_events) continue;  // Defensive; ids come from dict.
       if (!ws->seen.TestAndSet(ev)) continue;  // Nearest-to-start only.
       if (has_gaps && sc.gap_events.Test(ev)) continue;
-      BackwardExtension& ext = ws->back.Slot(ev);
-      ++ext.support;
-      ext.all_adjacent = ext.all_adjacent && (g + 1 == gstart);
+      reach.Count(&ws->back.Slot(ev), g + 1 == gstart);
     }
     if (stop != kNoBit) {
-      BackwardExtension& ext = ws->back.Slot(arena[stop]);
-      ++ext.support;
-      ext.all_adjacent = ext.all_adjacent && (stop + 1 == gstart);
+      reach.Count(&ws->back.Slot(arena[stop]), stop + 1 == gstart);
     }
+    if (reach.EndInstance()) break;
   }
   return ws->DrainBackward(min_support);
 }

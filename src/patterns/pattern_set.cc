@@ -7,7 +7,6 @@
 namespace specmine {
 
 void PatternSet::Add(Pattern p, uint64_t support) {
-  index_[p] = support;
   items_.push_back(MinedPattern{std::move(p), support});
 }
 
@@ -27,12 +26,15 @@ void PatternSet::SortLexicographic() {
 }
 
 uint64_t PatternSet::SupportOf(const Pattern& p) const {
-  auto it = index_.find(p);
-  return it == index_.end() ? 0 : it->second;
+  for (auto it = items_.rbegin(); it != items_.rend(); ++it) {
+    if (it->pattern == p) return it->support;
+  }
+  return 0;
 }
 
 bool PatternSet::Contains(const Pattern& p) const {
-  return index_.count(p) > 0;
+  return std::any_of(items_.begin(), items_.end(),
+                     [&p](const MinedPattern& it) { return it.pattern == p; });
 }
 
 const MinedPattern& PatternSet::Longest() const {

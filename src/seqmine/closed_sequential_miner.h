@@ -16,6 +16,16 @@
 // BackScan prunes a whole subtree when an event is present in some i-th
 // *semi-maximum period* (between earliest embeddings only) of every unit:
 // every descendant then has the same absorbing backward extension.
+//
+// Hot path (it is most of a non-redundant rule mine: MineConsequents runs
+// it once per premise over one unit per temporal point). Extensions are
+// grouped in dense epoch-stamped buckets drained at min_support, exactly
+// like PrefixSpan: a forward absorber of a non-root node has the node's
+// support, so nothing below the threshold can decide closure. Period
+// events are counted in epoch-stamped slots, and each period check stops
+// at the first unit after which no event is common to every unit seen so
+// far. Embeddings live in two flat buffers. All of this scratch belongs to
+// one MineClosedSequential call, so concurrent calls share no state.
 
 #ifndef SPECMINE_SEQMINE_CLOSED_SEQUENTIAL_MINER_H_
 #define SPECMINE_SEQMINE_CLOSED_SEQUENTIAL_MINER_H_

@@ -278,9 +278,9 @@ int StatusToHttp(StatusCode code) {
   return 500;
 }
 
-std::string HttpResponse::Serialize(bool keep_alive) const {
+std::string HttpResponse::SerializeHead(bool keep_alive) const {
   std::string out;
-  out.reserve(128 + body.size());
+  out.reserve(128);
   out += "HTTP/1.1 ";
   out += std::to_string(status);
   out += ' ';
@@ -300,8 +300,11 @@ std::string HttpResponse::Serialize(bool keep_alive) const {
     out += "\r\n";
   }
   out += "\r\n";
-  out += body;
   return out;
+}
+
+std::string HttpResponse::Serialize(bool keep_alive) const {
+  return SerializeHead(keep_alive) + body;
 }
 
 }  // namespace specmine

@@ -117,8 +117,13 @@ struct HttpResponse {
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
 
-  /// \brief Serializes status line, headers and body. \p keep_alive
-  /// controls the Connection header.
+  /// \brief Serializes the status line and headers, through the blank
+  /// line that ends them. \p keep_alive controls the Connection header.
+  /// The server sends this and `body` as two buffers of one write, so a
+  /// large body is never copied.
+  std::string SerializeHead(bool keep_alive) const;
+
+  /// \brief SerializeHead() followed by the body: the exact wire bytes.
   std::string Serialize(bool keep_alive) const;
 };
 

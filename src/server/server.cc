@@ -225,7 +225,8 @@ void Server::AcceptLoop() {
       HttpResponse response =
           SimpleError(503, "connection limit reached; retry later");
       metrics_.RecordRequest("other", response.status, 0.0);
-      (void)socket.WriteAll(response.Serialize(/*keep_alive=*/false));
+      (void)socket.WriteAll(response.SerializeHead(/*keep_alive=*/false),
+                            response.body);
       continue;  // `socket` closes as it goes out of scope.
     }
     const uint64_t id = next_connection_id_++;
@@ -269,7 +270,8 @@ void Server::ServeConnection(uint64_t id, Socket socket) {
       HttpResponse response =
           SimpleError(parser.error_status(), parser.error());
       metrics_.RecordRequest("other", response.status, 0.0);
-      (void)socket.WriteAll(response.Serialize(/*keep_alive=*/false));
+      (void)socket.WriteAll(response.SerializeHead(/*keep_alive=*/false),
+                            response.body);
       break;  // Framing is unrecoverable after a parse error.
     }
 
@@ -288,7 +290,8 @@ void Server::ServeConnection(uint64_t id, Socket socket) {
     metrics_.RecordRequest(route_label, response.status, seconds);
     LogRequest(request, response, seconds);
 
-    if (!socket.WriteAll(response.Serialize(keep_alive)).ok()) break;
+    const std::string head = response.SerializeHead(keep_alive);
+    if (!socket.WriteAll(head, response.body).ok()) break;
     parser.Reset();
   }
 

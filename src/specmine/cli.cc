@@ -1,6 +1,8 @@
 #include "src/specmine/cli.h"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -92,7 +94,9 @@ matching route (see docs/server.md).
 All miners run through the specmine::Engine session API; invalid options
 and malformed trace files are reported as errors (non-zero exit), never
 mined around (--min-sup / --min-ssup are fractions of the traces in
-(0, 1]; anything else, unparseable values included, is exit 3). Exit
+(0, 1]; anything else, unparseable values included, is exit 3; so is a
+numeric flag N or F whose value does not parse, before any input is
+read). Exit
 codes: 0 success, 2 usage, 3 invalid argument, 4 parse error /
 corruption, 5 I/O error, 6 cancelled or deadline exceeded, 1 anything
 else.
@@ -137,27 +141,75 @@ class Args {
     return it == flags_.end() ? def : it->second;
   }
 
+  // The numeric getters return \p def only when the flag is absent:
+  // RunCli rejects every present numeric flag whose value does not parse
+  // (CheckNumericFlags) before any command runs.
   double GetDouble(const std::string& name, double def) const {
+    double value = def;
     auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) return def;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      return def;  // Unparseable value: fall back instead of aborting.
-    }
+    if (it != flags_.end()) ParseDouble(it->second, &value);
+    return value;
   }
 
   uint64_t GetUint(const std::string& name, uint64_t def) const {
+    uint64_t value = def;
     auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty()) return def;
-    // stoull silently wraps negatives ("-1" -> 2^64-1); treat them as
-    // unparseable too and fall back instead of aborting downstream.
-    if (it->second[0] == '-') return def;
-    try {
-      return std::stoull(it->second);
-    } catch (const std::exception&) {
-      return def;  // Unparseable value: fall back instead of aborting.
+    if (it != flags_.end()) ParseUint(it->second, &value);
+    return value;
+  }
+
+  // A finite decimal number, the whole value; false leaves *out alone.
+  static bool ParseDouble(const std::string& text, double* out) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(value)) {
+      return false;
     }
+    *out = value;
+    return true;
+  }
+
+  // Decimal digits only (no sign: "-1" must not wrap to 2^64-1), the
+  // whole value, in range; false leaves *out alone.
+  static bool ParseUint(const std::string& text, uint64_t* out) {
+    if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+    uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) return false;
+    *out = value;
+    return true;
+  }
+
+  // Rejects the first present numeric flag whose value does not parse,
+  // naming it. Runs before any command loads its corpus.
+  Status CheckNumericFlags() const {
+    static constexpr const char* kUintFlags[] = {
+        "threads", "timeout-ms", "max-len", "min-isup", "max-pre",
+        "max-post", "window", "min-count", "min-relevant", "shard-bytes",
+        "trace", "group-col", "event-col", "seed"};
+    static constexpr const char* kDoubleFlags[] = {"min-conf", "min-sat", "d",
+                                                   "c", "n", "s"};
+    for (const char* name : kUintFlags) {
+      auto it = flags_.find(name);
+      uint64_t ignored = 0;
+      if (it != flags_.end() && !ParseUint(it->second, &ignored)) {
+        return Status::InvalidArgument(
+            std::string("--") + name +
+            " must be a non-negative integer (got '" + it->second + "')");
+      }
+    }
+    for (const char* name : kDoubleFlags) {
+      auto it = flags_.find(name);
+      double ignored = 0;
+      if (it != flags_.end() && !ParseDouble(it->second, &ignored)) {
+        return Status::InvalidArgument(std::string("--") + name +
+                                       " must be a number (got '" +
+                                       it->second + "')");
+      }
+    }
+    return Status::OK();
   }
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -800,6 +852,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   }
   const std::string& command = args[0];
   Args parsed(args, 1);
+  if (Status s = parsed.CheckNumericFlags(); !s.ok()) return Fail(err, s);
   if (command == "stats") return CmdStats(parsed, out, err);
   if (command == "pack") return CmdPack(parsed, out, err);
   if (command == "mine-patterns") return CmdMinePatterns(parsed, out, err);

@@ -86,6 +86,12 @@ class EpochSlots {
   /// \brief Read-only slot access; the id must have been touched.
   const T& At(EventId ev) const { return slots_[ev]; }
 
+  /// \brief The slot for \p ev if touched this epoch, else nullptr (never
+  /// touches it).
+  T* Find(EventId ev) {
+    return ev < stamp_.size() && stamp_[ev] == epoch_ ? &slots_[ev] : nullptr;
+  }
+
   /// \brief Ids touched this epoch, in touch order (mutable for sorting).
   std::vector<EventId>& touched() { return touched_; }
 

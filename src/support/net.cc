@@ -5,8 +5,10 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -36,16 +38,42 @@ void Socket::SetReadTimeout(unsigned seconds) const {
 }
 
 Status Socket::WriteAll(std::string_view data) const {
-  size_t written = 0;
-  while (written < data.size()) {
+  return WriteAll(data, std::string_view());
+}
+
+Status Socket::WriteAll(std::string_view head, std::string_view body) const {
+  iovec iov[2] = {
+      {const_cast<char*>(head.data()), head.size()},
+      {const_cast<char*>(body.data()), body.size()},
+  };
+  iovec* next = iov;
+  size_t count = 2;
+  while (count > 0) {
+    if (next->iov_len == 0) {
+      ++next;
+      --count;
+      continue;
+    }
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
     // MSG_NOSIGNAL: a peer that hung up yields EPIPE, not a fatal SIGPIPE.
-    const ssize_t n = ::send(fd_, data.data() + written,
-                             data.size() - written, MSG_NOSIGNAL);
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("send");
+      return Errno("sendmsg");
     }
-    written += static_cast<size_t>(n);
+    // Advance past what was written; a partial write may end mid-buffer.
+    while (n > 0) {
+      const size_t step = std::min(static_cast<size_t>(n), next->iov_len);
+      next->iov_base = static_cast<char*>(next->iov_base) + step;
+      next->iov_len -= step;
+      n -= static_cast<ssize_t>(step);
+      if (next->iov_len == 0) {
+        ++next;
+        --count;
+      }
+    }
   }
   return Status::OK();
 }

@@ -54,6 +54,11 @@ class Socket {
   /// \brief Writes all of \p data (looping over partial writes).
   Status WriteAll(std::string_view data) const;
 
+  /// \brief Writes all of \p head, then all of \p body, as one gathered
+  /// send per call (looping over partial writes) — the bytes of
+  /// WriteAll(head + body) without building that string.
+  Status WriteAll(std::string_view head, std::string_view body) const;
+
   /// \brief Half-closes both directions, unblocking any reader parked on
   /// the fd (the descriptor itself stays owned until destruction). Safe
   /// to call from another thread and more than once.

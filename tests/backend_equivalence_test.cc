@@ -12,6 +12,9 @@
 
 #include <array>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "src/itermine/closed_miner.h"
 #include "src/itermine/full_miner.h"
 #include "src/itermine/generators.h"
+#include "src/itermine/merged_index.h"
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/rulemine/rule_miner.h"
@@ -259,6 +263,165 @@ TEST_P(BackendEquivalenceTest, ProjectionQueriesAgree) {
       }
     }
   }
+}
+
+// The backward query's early stop: at min_support k the result must be
+// exactly the threshold-0 map filtered to support >= k, on every backend.
+// k = |instances| is the closed miner's equal-support query; a pattern
+// whose first instance starts a sequence has nothing before it, so there
+// the stop fires right after that instance.
+TEST_P(BackendEquivalenceTest, ThresholdedBackwardMatchesFilteredFullMap) {
+  const EquivParams p = GetParam();
+  SequenceDatabase db = RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet);
+  PositionIndex csr(db);
+  BitmapIndex bitmap(db);
+  HybridIndex hybrid(db);
+  HybridIndex all_sparse(db, ~uint64_t{0});
+  const std::array<CountingBackend, 4> backends = {
+      CountingBackend(csr), CountingBackend(bitmap), CountingBackend(hybrid),
+      CountingBackend(all_sparse)};
+  ProjectionWorkspace ws;
+  size_t stops_at_first_instance = 0;
+  const size_t num_events = db.dictionary().size();
+  for (EventId first = 0; first < num_events; ++first) {
+    for (EventId second = 0; second <= num_events; ++second) {
+      // second == num_events stands for the one-event pattern <first>.
+      const Pattern pat =
+          second == num_events ? Pattern{first} : Pattern{first, second};
+      const InstanceList insts = FindAllInstances(pat, db);
+      if (insts.empty()) continue;
+      const uint64_t k = insts.size();
+      if (k >= 2 && insts[0].start == 0) ++stops_at_first_instance;
+      for (const CountingBackend& backend : backends) {
+        BackwardExtensionMap full;
+        for (const auto& [e, ext] : BackwardExtensions(backend, pat, insts,
+                                                       &ws)) {
+          full.emplace_back(e, ext);
+        }
+        for (uint64_t min_support : {k, k - k / 2, k + 1}) {
+          const BackwardExtensionMap& got =
+              BackwardExtensions(backend, pat, insts, &ws, min_support);
+          auto it = got.begin();
+          for (const auto& [e, ext] : full) {
+            if (ext.support < min_support) continue;
+            ASSERT_NE(it, got.end()) << backend.name() << " " << pat.ToString();
+            EXPECT_EQ(it->first, e) << backend.name() << " " << pat.ToString();
+            EXPECT_EQ(it->second.support, ext.support) << backend.name();
+            EXPECT_EQ(it->second.all_adjacent, ext.all_adjacent)
+                << backend.name();
+            ++it;
+          }
+          EXPECT_EQ(it, got.end())
+              << backend.name() << " " << pat.ToString() << " min_support "
+              << min_support;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stops_at_first_instance, 0u);
+}
+
+// Independent oracle for the infix-absorber check: per-instance per-gap
+// profiles in ordered maps, intersected naively.
+bool NaiveUniformInfixAbsorber(const SequenceDatabase& db,
+                               const Pattern& pattern,
+                               const InstanceList& instances) {
+  std::set<EventId> alphabet(pattern.begin(), pattern.end());
+  std::map<EventId, std::vector<uint32_t>> common;
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const IterInstance& inst = instances[i];
+    std::map<EventId, std::vector<uint32_t>> profile;
+    size_t gap = 0;
+    for (Pos p = inst.start + 1; p <= inst.end; ++p) {
+      const EventId ev = db[inst.seq][p];
+      if (alphabet.count(ev) != 0) {
+        ++gap;
+        continue;
+      }
+      std::vector<uint32_t>& counts = profile[ev];
+      counts.resize(pattern.size() - 1);
+      ++counts[gap];
+    }
+    if (i == 0) {
+      common = profile;
+      continue;
+    }
+    for (auto it = common.begin(); it != common.end();) {
+      auto found = profile.find(it->first);
+      if (found == profile.end() || found->second != it->second) {
+        it = common.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  return !common.empty();
+}
+
+// \p db plus three "p e0 q" traces over fresh events p and q, so that
+// <p, q> has an infix absorber (e0, once in the gap of every instance).
+SequenceDatabase WithPlantedAbsorber(const SequenceDatabase& db) {
+  SequenceDatabaseBuilder out;
+  for (EventId e = 0; e < db.dictionary().size(); ++e) {
+    out.mutable_dictionary()->Intern(db.dictionary().Name(e));
+  }
+  for (SeqId s = 0; s < db.size(); ++s) out.AddSequence(db[s]);
+  for (int i = 0; i < 3; ++i) out.AddTraceFromString("p e0 q");
+  return out.Build();
+}
+
+// HasUniformInfixAbsorber, db-level and through the lazy merged backend
+// over tiny shards, against the naive oracle on every pattern of length 2
+// (and 3 on small alphabets) that has instances.
+TEST_P(BackendEquivalenceTest, InfixAbsorberMatchesNaiveProfileOracle) {
+  const EquivParams p = GetParam();
+  SequenceDatabase db = WithPlantedAbsorber(
+      RandomDb(p.seed, p.num_seqs, p.max_len, p.alphabet));
+  const std::string smdbset =
+      TempPath("infix_oracle_" + std::to_string(p.seed) + ".smdbset");
+  ShardWriterOptions shard_options;
+  shard_options.shard_bytes = 200;
+  ASSERT_TRUE(WriteShardedDatabase(db, smdbset, shard_options).ok());
+  Result<ShardedDatabase> set = ShardedDatabase::Open(smdbset);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_GT(set->num_shards(), 1u);
+  std::vector<std::unique_ptr<PositionIndex>> shard_indexes;
+  std::vector<CountingBackend> shard_backends;
+  for (size_t i = 0; i < set->num_shards(); ++i) {
+    shard_indexes.push_back(std::make_unique<PositionIndex>(set->shard(i)));
+    shard_backends.emplace_back(*shard_indexes.back());
+  }
+  MergedCountingIndex merged(*set, std::move(shard_backends));
+  const CountingBackend merged_backend(merged);
+  // Patterns and instances live in the merged id space.
+  const SequenceDatabase merged_db = set->Merge();
+  const size_t num_events = merged_db.dictionary().size();
+  ProjectionWorkspace db_ws, merged_ws;
+  size_t checked = 0, absorbed = 0;
+  std::vector<Pattern> patterns;
+  for (EventId a = 0; a < num_events; ++a) {
+    for (EventId b = 0; b < num_events; ++b) {
+      patterns.push_back(Pattern{a, b});
+      if (num_events > 8) continue;
+      for (EventId c = 0; c < num_events; ++c) {
+        patterns.push_back(Pattern{a, b, c});
+      }
+    }
+  }
+  for (const Pattern& pat : patterns) {
+    const InstanceList insts = FindAllInstances(pat, merged_db);
+    if (insts.empty()) continue;
+    const bool want = NaiveUniformInfixAbsorber(merged_db, pat, insts);
+    ++checked;
+    if (want) ++absorbed;
+    EXPECT_EQ(HasUniformInfixAbsorber(merged_db, pat, insts, &db_ws), want)
+        << pat.ToString();
+    EXPECT_EQ(HasUniformInfixAbsorber(merged_backend, pat, insts, &merged_ws),
+              want)
+        << pat.ToString();
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(absorbed, 0u);
 }
 
 // Full / closed / generator miners: byte-identical emission across

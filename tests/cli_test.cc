@@ -374,6 +374,47 @@ TEST_F(CliTest, SupportFlagsOutsideTheUnitIntervalAreInvalidArguments) {
   }
 }
 
+// Every numeric flag rejects a value that does not parse, naming the flag,
+// instead of silently mining with its default. The corpus path does not
+// exist, so exit 3 (not 5) also shows the check runs before any load.
+TEST_F(CliTest, UnparseableNumericFlagsAreInvalidArgumentsBeforeLoading) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"mine-rules", "min-conf"},      {"mine-pairs", "min-sat"},
+      {"mine-patterns", "threads"},    {"mine-patterns", "timeout-ms"},
+      {"mine-patterns", "max-len"},    {"mine-rules", "min-isup"},
+      {"mine-rules", "max-pre"},       {"mine-rules", "max-post"},
+      {"mine-rules", "threads"},       {"mine-episodes", "window"},
+      {"mine-episodes", "min-count"},  {"mine-pairs", "min-relevant"},
+      {"pack", "shard-bytes"},         {"stats", "trace"},
+      {"stats", "group-col"},          {"stats", "event-col"},
+      {"gen-quest", "d"},              {"gen-quest", "c"},
+      {"gen-quest", "n"},              {"gen-quest", "s"},
+      {"gen-quest", "seed"},
+  };
+  const std::string missing = ::testing::TempDir() + "cli_test_missing.txt";
+  for (const auto& [cmd, flag] : cases) {
+    for (const char* bad : {"abc", "1x", ""}) {
+      std::vector<std::string> args = {cmd, missing};
+      if (cmd == "pack") args.push_back(missing + ".smdbset");
+      if (cmd == "stats" && flag != "trace") args.push_back("--csv");
+      args.push_back("--" + flag);
+      args.push_back(bad);
+      EXPECT_EQ(Run(args), 3) << cmd << " --" << flag << " '" << bad << "'";
+      EXPECT_NE(err_.str().find("--" + flag), std::string::npos)
+          << cmd << " --" << flag << ": " << err_.str();
+      EXPECT_EQ(out_.str(), "") << cmd << " --" << flag;
+    }
+  }
+  // Integer flags take no sign: "-1" must not wrap to 2^64-1.
+  EXPECT_EQ(Run({"mine-patterns", path_, "--threads", "-1"}), 3);
+  EXPECT_NE(err_.str().find("--threads"), std::string::npos);
+  EXPECT_EQ(Run({"mine-rules", path_, "--min-conf", "inf"}), 3);
+  // Well-formed values still run.
+  EXPECT_EQ(Run({"mine-rules", path_, "--min-conf", "0.5", "--threads", "2",
+                 "--max-pre", "3"}),
+            0);
+}
+
 TEST_F(CliTest, ExpiredTimeoutCancelsMiningWithExitSix) {
   // A zero budget has already passed when mining starts, so the run stops
   // at the first cancellation point — deterministic, corpus-independent.

@@ -11,6 +11,7 @@
 #include "src/itermine/projection.h"
 #include "src/itermine/qre_verifier.h"
 #include "src/support/strings.h"
+#include "src/synth/quest_generator.h"
 
 namespace specmine {
 namespace {
@@ -379,6 +380,51 @@ TEST(ClosedIterMinerTest, InstanceCorrespondenceOracleHelpers) {
   // Second a has no containing <a, b> instance.
   EXPECT_FALSE(
       HasTotalInstanceCorrespondence(db2, P(db2, "a"), P(db2, "a b")));
+}
+
+// Deterministic work counters of the closed miner on a fixed generated
+// corpus, for every prune/check combination and counting backend: the
+// values are those of the implementation that ran P3 after the forward
+// projection, so reordering the checks must leave them unchanged, and a
+// change that visits more nodes or prunes fewer subtrees fails here.
+TEST(ClosedIterMinerTest, WorkCountersPinnedOnQuestCorpus) {
+  QuestParams params;
+  params.d_sequences_thousands = 0.2;
+  params.c_avg_sequence_length = 12;
+  params.n_events_thousands = 0.1;
+  params.s_avg_pattern_length = 5;
+  Result<SequenceDatabase> db = GenerateQuest(params);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  struct Want {
+    bool infix_prune, infix_check;
+    size_t nodes, pruned, emitted;
+  };
+  const Want wants[] = {
+      {true, true, 7631, 1392, 5315},
+      {false, true, 9111, 132, 5351},
+      {true, false, 7631, 1392, 5315},
+      {false, false, 9111, 132, 7102},
+  };
+  for (const Want& want : wants) {
+    for (BackendChoice backend : {BackendChoice::kCsr, BackendChoice::kBitmap,
+                                  BackendChoice::kHybrid}) {
+      ClosedIterMinerOptions options;
+      options.min_support = 3;
+      options.infix_prune = want.infix_prune;
+      options.infix_check = want.infix_check;
+      options.backend = backend;
+      IterMinerStats stats;
+      PatternSet out = MineClosedIterative(*db, options, &stats);
+      const std::string label =
+          std::string("prune=") + (want.infix_prune ? "1" : "0") +
+          " check=" + (want.infix_check ? "1" : "0") +
+          " backend=" + std::to_string(static_cast<int>(backend));
+      EXPECT_EQ(stats.nodes_visited, want.nodes) << label;
+      EXPECT_EQ(stats.subtrees_pruned, want.pruned) << label;
+      EXPECT_EQ(stats.patterns_emitted, want.emitted) << label;
+      EXPECT_EQ(out.size(), want.emitted) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/seqmine/closed_sequential_miner.h"
@@ -13,6 +15,7 @@
 #include "src/seqmine/prefixspan.h"
 #include "src/support/strings.h"
 #include "src/support/random.h"
+#include "src/synth/quest_generator.h"
 
 namespace specmine {
 namespace {
@@ -321,6 +324,149 @@ TEST(ClosedSequentialTest, BackScanPrunesNodes) {
   MineClosedSequential(units, with, &sw);
   MineClosedSequential(units, without, &swo);
   EXPECT_LT(sw.nodes_visited, swo.nodes_visited);
+}
+
+// Small-scope exhaustive check over *offset* units: one unit per position
+// of every sequence, including the empty suffix at its end — the shape
+// MineConsequents builds (one unit just after each temporal point).
+
+// Every trace over `alphabet` events of length <= max_len (the empty one
+// included), shortest first.
+std::vector<std::vector<EventId>> AllTraces(size_t alphabet, size_t max_len) {
+  std::vector<std::vector<EventId>> out = {{}};
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (out[i].size() == max_len) continue;
+    for (EventId e = 0; e < alphabet; ++e) {
+      std::vector<EventId> longer = out[i];
+      longer.push_back(e);
+      out.push_back(std::move(longer));
+    }
+  }
+  return out;
+}
+
+UnitDatabase OffsetUnits(const SequenceDatabase& db) {
+  std::vector<Unit> units;
+  for (SeqId s = 0; s < db.size(); ++s) {
+    for (Pos p = 0; p <= db[s].size(); ++p) units.push_back(Unit{s, p});
+  }
+  return UnitDatabase(db, std::move(units));
+}
+
+// Runs the closed miner, with and without BackScan, at every threshold on
+// every multiset of at most `max_traces` traces (the closed set does not
+// depend on trace order), over offset units and over whole sequences (where
+// periods before the first match are not cut short by a unit starting on
+// it), and compares with OracleClosed. The oracle runs
+// once per corpus at threshold 1: a closed pattern's equal-support
+// absorber would be frequent at any threshold the pattern meets, so the
+// closed set at threshold t is exactly the threshold-1 closed set with
+// support >= t. Returns the number of corpora checked (0 on a mismatch).
+size_t CheckClosedExhaustively(size_t alphabet, size_t max_traces,
+                               size_t max_len) {
+  const std::vector<std::vector<EventId>> traces =
+      AllTraces(alphabet, max_len);
+  size_t corpora = 0;
+  std::vector<size_t> pick;  // Non-decreasing trace indexes.
+  std::function<bool()> visit = [&]() -> bool {
+    if (!pick.empty()) {
+      SequenceDatabaseBuilder builder;
+      for (size_t i = 0; i < alphabet; ++i) {
+        builder.mutable_dictionary()->Intern("e" + std::to_string(i));
+      }
+      for (size_t t : pick) {
+        builder.AddSequence(EventSpan(traces[t].data(),
+                                      traces[t].data() + traces[t].size()));
+      }
+      SequenceDatabase db = builder.Build();
+      for (bool offsets : {true, false}) {
+        UnitDatabase units =
+            offsets ? OffsetUnits(db) : UnitDatabase::WholeSequences(db);
+        const auto closed = OracleClosed(units, 1);
+        for (uint64_t min_sup = 1; min_sup <= units.size(); ++min_sup) {
+          std::map<Pattern, uint64_t> want;
+          for (const auto& [p, sup] : closed) {
+            if (sup >= min_sup) want[p] = sup;
+          }
+          for (bool backscan : {true, false}) {
+            ClosedSeqMinerOptions options;
+            options.min_support = min_sup;
+            options.backscan_pruning = backscan;
+            if (ToMap(MineClosedSequential(units, options)) != want) {
+              std::string corpus;
+              for (size_t t : pick) {
+                corpus += "[";
+                for (EventId e : traces[t]) {
+                  corpus += " e" + std::to_string(e);
+                }
+                corpus += " ]";
+              }
+              ADD_FAILURE() << "corpus " << corpus << " offsets=" << offsets
+                            << " min_sup=" << min_sup
+                            << " backscan=" << backscan;
+              return false;
+            }
+          }
+        }
+      }
+      ++corpora;
+    }
+    if (pick.size() == max_traces) return true;
+    for (size_t t = pick.empty() ? 0 : pick.back(); t < traces.size(); ++t) {
+      pick.push_back(t);
+      const bool ok = visit();
+      pick.pop_back();
+      if (!ok) return false;
+    }
+    return true;
+  };
+  return visit() ? corpora : 0;
+}
+
+TEST(ClosedSequentialTest, ExhaustiveSmallScopeAlphabetTwo) {
+  // 31 traces (length <= 4) -> 5983 multisets of 1..3 traces.
+  EXPECT_EQ(CheckClosedExhaustively(2, 3, 4), 5983u);
+}
+
+TEST(ClosedSequentialTest, ExhaustiveSmallScopeAlphabetThree) {
+  // 121 traces (length <= 4) -> 7502 multisets of 1..2 traces.
+  EXPECT_EQ(CheckClosedExhaustively(3, 2, 4), 7502u);
+}
+
+// Deterministic work counters on a fixed generated corpus, captured before
+// the hash-free rewrite of the miner: a change that makes the search do
+// more (or different) work fails here even when its output is right.
+TEST(ClosedSequentialTest, WorkCountersPinnedOnQuestCorpus) {
+  QuestParams params;
+  params.d_sequences_thousands = 0.2;
+  params.c_avg_sequence_length = 12;
+  params.n_events_thousands = 0.1;
+  params.s_avg_pattern_length = 5;
+  Result<SequenceDatabase> db = GenerateQuest(params);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  {
+    UnitDatabase units = UnitDatabase::WholeSequences(*db);
+    ClosedSeqMinerOptions options;
+    options.min_support = 10;
+    SeqMinerStats stats;
+    PatternSet out = MineClosedSequential(units, options, &stats);
+    EXPECT_EQ(stats.nodes_visited, 846u);
+    EXPECT_EQ(stats.patterns_emitted, 776u);
+    EXPECT_EQ(out.size(), stats.patterns_emitted);
+  }
+  {
+    UnitDatabase units = OffsetUnits(*db);
+    ClosedSeqMinerOptions options;
+    options.min_support = 40;
+    SeqMinerStats stats;
+    MineClosedSequential(units, options, &stats);
+    EXPECT_EQ(stats.nodes_visited, 2249u);
+    EXPECT_EQ(stats.patterns_emitted, 1924u);
+    options.backscan_pruning = false;
+    MineClosedSequential(units, options, &stats);
+    EXPECT_EQ(stats.nodes_visited, 3229u);
+    EXPECT_EQ(stats.patterns_emitted, 1924u);
+  }
 }
 
 // ---------------------------------------------------------------------------

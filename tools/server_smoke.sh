@@ -34,25 +34,36 @@ done
 grep '"status": "ok"' healthz.json
 grep '"version"' healthz.json
 
+# Every body goes to a file before grep reads it: `curl | grep -q` fails
+# under pipefail when grep exits at its first match and curl, still
+# writing, gets EPIPE (exit 23).
+
 # One request per mining route.
 curl -fsS -d '{"corpus": "demo", "min_sup": 0.4}' \
-  "$BASE/mine/patterns" | grep -q '"patterns"'
+  "$BASE/mine/patterns" > body.json
+grep -q '"patterns"' body.json
 curl -fsS -d '{"corpus": "demo", "min_ssup": 0.4, "min_conf": 0.5}' \
-  "$BASE/mine/rules" | grep -q '"rules"'
+  "$BASE/mine/rules" > body.json
+grep -q '"rules"' body.json
 curl -fsS -d '{"corpus": "demo", "min_sup": 0.4, "closed": true}' \
-  "$BASE/mine/seq" | grep -q '"patterns"'
+  "$BASE/mine/seq" > body.json
+grep -q '"patterns"' body.json
 curl -fsS -d '{"corpus": "demo", "window": 5}' \
-  "$BASE/mine/episodes" | grep -q '"patterns"'
+  "$BASE/mine/episodes" > body.json
+grep -q '"patterns"' body.json
 curl -fsS -d '{"corpus": "demo", "min_sat": 0.5}' \
-  "$BASE/mine/pairs" | grep -q '"pairs"'
+  "$BASE/mine/pairs" > body.json
+grep -q '"pairs"' body.json
 
 # Runtime corpus registration, then mine the new corpus.
 code=$(curl -s -o /dev/null -w '%{http_code}' \
   -d '{"name": "second", "path": "server_smoke_traces.txt"}' "$BASE/corpora")
 [ "$code" = 201 ]
-curl -fsS "$BASE/corpora" | grep -q '"second"'
+curl -fsS "$BASE/corpora" > body.json
+grep -q '"second"' body.json
 curl -fsS -d '{"corpus": "second", "min_sup": 0.4}' \
-  "$BASE/mine/patterns" | grep -q '"patterns"'
+  "$BASE/mine/patterns" > body.json
+grep -q '"patterns"' body.json
 
 # Append route: pack a sharded corpus, register it, append traces, and
 # check the committed generation both in the response and on re-mine.
@@ -65,7 +76,8 @@ curl -fsS -d '{"traces": ["lock write unlock", "open read close"], "seal": true}
 grep -q '"appended": 2' append.json
 grep -q '"generation": 1' append.json
 curl -fsS -d '{"corpus": "growing", "min_sup": 0.4}' \
-  "$BASE/mine/patterns" | grep -q '"patterns"'
+  "$BASE/mine/patterns" > body.json
+grep -q '"patterns"' body.json
 # Appending to a non-sharded corpus is a clean client error.
 code=$(curl -s -o /dev/null -w '%{http_code}' \
   -d '{"traces": ["a b"]}' "$BASE/corpora/demo/append")
